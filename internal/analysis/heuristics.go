@@ -50,101 +50,136 @@ const longestOccs = 12
 // longestMatchCap bounds how far forward match lengths are compared.
 const longestMatchCap = 512
 
-// EvaluateHeuristic replays the miss sequence under one lookup policy and
-// counts covered misses. The replay models stream following the way the
-// hardware does: while a stream is active and predicts the next miss, the
-// miss is covered and the stream advances; on a mismatch the policy
-// performs a fresh lookup on the missing address.
-func EvaluateHeuristic(policy string, seq []isa.Block) HeuristicResult {
-	res := HeuristicResult{Policy: policy, Total: uint64(len(seq))}
+// EvaluateHeuristics replays the miss sequence under every Fig. 6 lookup
+// policy and counts covered misses, in Policies() order. The replay
+// models stream following the way the hardware does: while a stream is
+// active and predicts the next miss, the miss is covered and the stream
+// advances; on a mismatch the policy performs a fresh lookup on the
+// missing address.
+//
+// The policies differ only in their lookup and their stream cursor, so
+// one pass over dense block ids advances all four cursors against shared
+// history tables.
+func EvaluateHeuristics(seq []isa.Block) []HeuristicResult {
+	ids, n := denseIDs(seq)
+	s := ids[0]
 
-	first := make(map[isa.Block]int)
-	recent := make(map[isa.Block]int)
-	type dkey struct{ a, b isa.Block }
-	digram := make(map[dkey]int)
-	occs := make(map[isa.Block][]int)
+	// History tables over positions already replayed. first and recent
+	// hold the first and latest position of each id. digram maps a packed
+	// (id, next id) pair to the position of its latest occurrence. ring
+	// keeps the last longestOccs positions of each id, written round-robin
+	// at seen[id] % longestOccs, where seen counts all occurrences.
+	first := filled(n, int32(-1))
+	recent := filled(n, int32(-1))
+	digram := make(map[uint64]int32)
+	ring := make([]int32, n*longestOccs)
+	seen := make([]int32, n)
 
 	matchLen := func(p, i int) int {
-		n := 0
-		for n < longestMatchCap && p+n < len(seq) && i+n < len(seq) && seq[p+n] == seq[i+n] {
-			n++
+		l := 0
+		for l < longestMatchCap && p+l < len(s) && i+l < len(s) && s[p+l] == s[i+l] {
+			l++
 		}
-		return n
+		return l
+	}
+	// longest scans the remembered occurrences of s[i] oldest first and
+	// keeps the first whose continuation matches strictly longest.
+	longest := func(i int) int32 {
+		m := s[i]
+		k := int(seen[m])
+		best, bestLen := int32(-1), 0
+		for j := max(0, k-longestOccs); j < k; j++ {
+			p := ring[int(m)*longestOccs+j%longestOccs]
+			if l := matchLen(int(p)+1, i+1); l > bestLen {
+				best, bestLen = p, l
+			}
+		}
+		return best
 	}
 
-	lookup := func(i int) int {
-		m := seq[i]
-		switch policy {
-		case PolicyFirst:
-			if p, ok := first[m]; ok {
-				return p
+	// cursor[k] is the history position policy k's active stream predicts
+	// next, -1 when idle, with k in Policies() order. It is always
+	// strictly behind the position being processed (lookups only ever
+	// return already-recorded positions).
+	cursor := [4]int32{-1, -1, -1, -1}
+	var covered [4]uint64
+	for i, m := range s {
+		for k, c := range cursor {
+			if c >= 0 && s[c] == m {
+				covered[k]++
+				cursor[k]++
+				continue
 			}
-		case PolicyRecent:
-			if p, ok := recent[m]; ok {
-				return p
-			}
-		case PolicyDigram:
-			if i+1 < len(seq) {
-				if p, ok := digram[dkey{m, seq[i+1]}]; ok {
-					return p
+			p := int32(-1)
+			switch k {
+			case 0: // First
+				p = first[m]
+			case 1: // Digram
+				if i+1 < len(s) {
+					if q, ok := digram[pairKey(m, s[i+1])]; ok {
+						p = q
+					}
 				}
+			case 2: // Recent
+				p = recent[m]
+			case 3: // Longest
+				p = longest(i)
 			}
-		case PolicyLongest:
-			best, bestLen := -1, 0
-			for _, p := range occs[m] {
-				if l := matchLen(p+1, i+1); l > bestLen {
-					best, bestLen = p, l
-				}
+			if p >= 0 {
+				p++
 			}
-			if best >= 0 {
-				return best
-			}
-		default:
-			panic("analysis: unknown policy " + policy)
-		}
-		return -1
-	}
-
-	// cursor is the history position the active stream predicts next; it
-	// is always strictly behind the position being processed (lookups
-	// only ever return already-recorded positions).
-	cursor := -1
-	for i, m := range seq {
-		if cursor >= 0 && seq[cursor] == m {
-			res.Covered++
-			cursor++
-		} else {
-			if p := lookup(i); p >= 0 {
-				cursor = p + 1
-			} else {
-				cursor = -1
-			}
+			cursor[k] = p
 		}
 
 		// Record this occurrence for future lookups.
-		if _, ok := first[m]; !ok {
-			first[m] = i
+		if first[m] < 0 {
+			first[m] = int32(i)
 		}
 		if i > 0 {
-			digram[dkey{seq[i-1], m}] = i - 1
+			digram[pairKey(s[i-1], m)] = int32(i - 1)
 		}
-		recent[m] = i
-		if policy == PolicyLongest {
-			o := append(occs[m], i)
-			if len(o) > longestOccs {
-				o = o[1:]
-			}
-			occs[m] = o
-		}
+		recent[m] = int32(i)
+		ring[int(m)*longestOccs+int(seen[m])%longestOccs] = int32(i)
+		seen[m]++
 	}
-	return res
-}
 
-// EvaluateHeuristics runs all Fig. 6 policies on the trace.
-func EvaluateHeuristics(seq []isa.Block) []HeuristicResult {
-	out := make([]HeuristicResult, 0, len(Policies()))
-	for _, p := range Policies() {
-		out = append(out, EvaluateHeuristic(p, seq))
+	out := make([]HeuristicResult, 0, len(cursor))
+	for k, p := range Policies() {
+		out = append(out, HeuristicResult{Policy: p, Covered: covered[k], Total: uint64(len(seq))})
 	}
 	return out
+}
+
+// pairKey packs two dense ids into one map key.
+func pairKey(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
+// denseIDs numbers the distinct blocks of seqs 0, 1, 2, ... in order of
+// first appearance, so that per-block replay state can live in slices
+// indexed by id. It returns each sequence rewritten as ids, and the
+// number of distinct blocks.
+func denseIDs(seqs ...[]isa.Block) ([][]int32, int) {
+	num := make(map[isa.Block]int32)
+	out := make([][]int32, len(seqs))
+	for c, seq := range seqs {
+		ids := make([]int32, len(seq))
+		for i, b := range seq {
+			id, ok := num[b]
+			if !ok {
+				id = int32(len(num))
+				num[b] = id
+			}
+			ids[i] = id
+		}
+		out[c] = ids
+	}
+	return out, len(num)
+}
+
+// filled returns n copies of v.
+func filled[T any](n int, v T) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }

@@ -1,8 +1,6 @@
 package analysis
 
-import (
-	"tifs/internal/isa"
-)
+import "tifs/internal/isa"
 
 // IMLEntryBits is the storage cost of one IML entry: a 38-bit physical
 // block address plus the SVB-hit bit (paper Section 6.3).
@@ -29,114 +27,103 @@ type IMLCapacityPoint struct {
 // addresses of the active stream.
 const imlWindow = 4
 
-// IMLCoverage measures predictor coverage with a bounded circular IML per
-// core, a perfect (unbounded, precise) index table, and Recent-policy
-// index updates — the Fig. 11 methodology, which isolates IML capacity
-// from index effects. entries <= 0 means unbounded.
-//
-// Per-core miss traces are interleaved round-robin to approximate
-// concurrent execution; the index is shared, so one core may follow a
-// stream another core logged.
-func IMLCoverage(perCore [][]isa.Block, entries int) float64 {
-	nc := len(perCore)
-	if nc == 0 {
-		return 0
-	}
-
-	type pos struct {
-		core int
-		idx  int // absolute append index within that core's IML
-	}
-	// Per-core logs (absolute; aliveness enforced against entries).
-	logs := make([][]isa.Block, nc)
-	index := make(map[isa.Block]pos)
-	// Per-core active stream pointer (into some core's log), -1 idle.
-	cur := make([]pos, nc)
-	for i := range cur {
-		cur[i] = pos{core: -1}
-	}
-
-	alive := func(p pos) bool {
-		if p.core < 0 {
-			return false
-		}
-		if entries <= 0 {
-			return p.idx < len(logs[p.core])
-		}
-		return p.idx < len(logs[p.core]) && p.idx >= len(logs[p.core])-entries
-	}
-
-	var covered, total uint64
-	next := make([]int, nc)
-	for {
-		progressed := false
-		for c := 0; c < nc; c++ {
-			if next[c] >= len(perCore[c]) {
-				continue
-			}
-			progressed = true
-			m := perCore[c][next[c]]
-			next[c]++
-			total++
-
-			// Try to cover from the active stream within the SVB window.
-			hit := false
-			if cur[c].core >= 0 {
-				p := cur[c]
-				for w := 0; w < imlWindow; w++ {
-					q := pos{core: p.core, idx: p.idx + w}
-					if !alive(q) {
-						break
-					}
-					if logs[q.core][q.idx] == m {
-						covered++
-						cur[c] = pos{core: q.core, idx: q.idx + 1}
-						hit = true
-						break
-					}
-				}
-			}
-			if !hit {
-				// Fresh lookup: follow the most recent occurrence.
-				if p, ok := index[m]; ok && alive(p) {
-					cur[c] = pos{core: p.core, idx: p.idx + 1}
-				} else {
-					cur[c] = pos{core: -1}
-				}
-			}
-
-			// Log the miss and update the index (Recent policy).
-			logs[c] = append(logs[c], m)
-			index[m] = pos{core: c, idx: len(logs[c]) - 1}
-		}
-		if !progressed {
-			break
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(covered) / float64(total)
-}
-
 // DefaultIMLSweepEntries are the per-core IML capacities swept in the
 // Fig. 11 reproduction.
 func DefaultIMLSweepEntries() []int {
 	return []int{512, 1024, 2048, 4096, 8192, 16384, 32768, 65536}
 }
 
-// IMLCapacitySweep runs IMLCoverage across capacities and reports the
-// Fig. 11 curve for one workload.
+// IMLCapacitySweep reports the Fig. 11 curve for one workload: predictor
+// coverage at each per-core IML capacity in entriesList (the default sweep
+// when empty; entries <= 0 means unbounded).
+//
+// Each point models a bounded circular IML per core, a perfect
+// (unbounded, precise) index table, and Recent-policy index updates — the
+// Fig. 11 methodology, which isolates IML capacity from index effects.
+// Per-core miss traces are interleaved round-robin to approximate
+// concurrent execution; the index is shared, so one core may follow a
+// stream another core logged.
+//
+// Capacity only bounds which log entries are alive: core c's log is
+// always the prefix of its trace replayed so far, and the index is the
+// same at every capacity. So one pass replays every capacity, and only
+// the stream cursors and the alive-window test differ between them.
 func IMLCapacitySweep(perCore [][]isa.Block, entriesList []int) []IMLCapacityPoint {
 	if len(entriesList) == 0 {
 		entriesList = DefaultIMLSweepEntries()
 	}
-	out := make([]IMLCapacityPoint, 0, len(entriesList))
-	for _, n := range entriesList {
+	nc, nk := len(perCore), len(entriesList)
+	ids, n := denseIDs(perCore...)
+
+	// A log position: idx is the append index within core's log.
+	type pos struct{ core, idx int32 }
+	idle := pos{core: -1}
+	// index[id] is the latest logged position of the block.
+	index := filled(n, idle)
+	// cur[c*nk+k] is core c's active stream at capacity k: the log
+	// position it predicts next.
+	cur := filled(nc*nk, idle)
+	// next[c] counts the misses core c has logged, so its log is
+	// ids[c][:next[c]]; a miss is logged only after it is processed.
+	next := make([]int, nc)
+	// alive reports whether log position idx of a log holding logged
+	// entries is within the last entries of them.
+	alive := func(idx int32, logged, entries int) bool {
+		return int(idx) < logged && (entries <= 0 || int(idx) >= logged-entries)
+	}
+
+	covered := make([]uint64, nk)
+	var total uint64
+	for progressed := true; progressed; {
+		progressed = false
+		for c := 0; c < nc; c++ {
+			if next[c] >= len(ids[c]) {
+				continue
+			}
+			progressed = true
+			m := ids[c][next[c]]
+			total++
+			found := index[m]
+			for k, entries := range entriesList {
+				p := &cur[c*nk+k]
+				// Try to cover from the active stream within the SVB window.
+				hit := false
+				if p.core >= 0 {
+					log := ids[p.core][:next[p.core]]
+					for q := p.idx; q < p.idx+imlWindow && alive(q, len(log), entries); q++ {
+						if log[q] == m {
+							covered[k]++
+							p.idx = q + 1
+							hit = true
+							break
+						}
+					}
+				}
+				if !hit {
+					// Fresh lookup: follow the most recent occurrence.
+					if found.core >= 0 && alive(found.idx, next[found.core], entries) {
+						*p = pos{found.core, found.idx + 1}
+					} else {
+						*p = idle
+					}
+				}
+			}
+			// Log the miss and update the index (Recent policy).
+			index[m] = pos{int32(c), int32(next[c])}
+			next[c]++
+		}
+	}
+
+	out := make([]IMLCapacityPoint, 0, nk)
+	for k, entries := range entriesList {
+		var cov float64
+		if total > 0 {
+			cov = float64(covered[k]) / float64(total)
+		}
 		out = append(out, IMLCapacityPoint{
-			EntriesPerCore: n,
-			StorageKB:      IMLStorageKB(n) * float64(len(perCore)),
-			Coverage:       IMLCoverage(perCore, n),
+			EntriesPerCore: entries,
+			StorageKB:      IMLStorageKB(entries) * float64(nc),
+			Coverage:       cov,
 		})
 	}
 	return out
