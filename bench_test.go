@@ -22,7 +22,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"tifs"
 )
@@ -146,61 +145,6 @@ func BenchmarkSimulatorIntraParallel(b *testing.B) {
 				events += r.Run(spec, tifs.ScaleSmall, cfg).TotalEvents
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// BenchmarkSimulatorSpeculative measures the speculative merge tier on
-// a reused SimRunner. "off" is the serial merge loop; "on" runs the
-// predict/verify/commit protocol, where a speculation goroutine
-// executes windows of core steps ahead of the merge thread and every
-// window commits (the worker replays the authoritative schedule, so
-// organic divergence is impossible); "latched" corrupts every window's
-// prediction via the deterministic chaos knob, forcing rollback after
-// rollback until the fallback latches speculation off mid-run — the
-// adversarial worst case. Output bytes are identical in all three
-// modes, allocations must stay at zero in steady state, and the
-// merge-busy% column — the share of wall-clock the merge thread spent
-// verifying, committing, or re-executing rather than simulating — is
-// the honest speedup signal on few-core hosts, where events/s alone
-// cannot separate overlap from overhead.
-func BenchmarkSimulatorSpeculative(b *testing.B) {
-	spec, err := tifs.WorkloadByName("OLTP-DB2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name  string
-		spec  int
-		chaos int
-	}{
-		{"off", 0, 0},
-		{"on", 2, 0},
-		{"latched", 2, 1},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			r := tifs.NewSimRunner()
-			defer r.Close()
-			cfg := tifs.SimConfig{
-				EventsPerCore: 50_000,
-				Mechanism:     tifs.NextLineOnly(),
-				Speculative:   tc.spec,
-				SpecChaos:     tc.chaos,
-			}
-			r.Run(spec, tifs.ScaleSmall, cfg) // warm the pools
-			b.ReportAllocs()
-			b.ResetTimer()
-			var events uint64
-			var busy time.Duration
-			for i := 0; i < b.N; i++ {
-				events += r.Run(spec, tifs.ScaleSmall, cfg).TotalEvents
-				busy += r.SpecMergeBusy()
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-			if tc.spec >= 2 {
-				b.ReportMetric(100*busy.Seconds()/b.Elapsed().Seconds(), "merge-busy-%")
-			}
 		})
 	}
 }

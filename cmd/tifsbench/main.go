@@ -15,12 +15,9 @@
 // -intra N shards event generation inside each simulation across N
 // producer goroutines with a deterministic merge at the shared uncore:
 // output bytes are identical at every setting, so it composes with
-// every mode below (and is excluded from -submit's dedup key). -spec
-// adds the third tier: a speculation goroutine executes windows of core
-// steps ahead of the merge, which verifies the predicted interleaving
-// and commits or rolls back — byte-identical output, with commit and
-// rollback counters on stderr. Both accept off|on|auto|N ("auto" sizes
-// to the machine); negative widths are rejected.
+// every mode below (and is excluded from -submit's dedup key). It
+// accepts off|on|auto|N ("on" and "auto" size to the machine);
+// negative widths are rejected.
 //
 // Sharded sweeps split one experiment grid across processes or machines
 // that share a -cache-dir (for machines: on a shared filesystem):
@@ -110,8 +107,7 @@ func run() int {
 		events     = flag.Uint64("events", 0, "override per-core event budget (0 = scale default)")
 		cores      = flag.Int("cores", 4, "number of cores")
 		parallel   = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		intra      = flag.String("intra", "off", "producer shards inside each simulation: off|on|auto|N (off/0/1 = serial, auto = NumCPU; output bytes identical at every setting)")
-		spec       = flag.String("spec", "off", "speculative merge execution inside each simulation: off|on|auto|N (predict/verify/commit windows; output bytes identical at every setting)")
+		intra      = flag.String("intra", "off", "producer shards inside each simulation: off|on|auto|N (off/0/1 = serial, on/auto = NumCPU; output bytes identical at every setting)")
 		cacheDir   = flag.String("cache-dir", "", "persistent result store directory (empty = disabled)")
 		remote     = flag.String("remote", "", "tifsserve base URL (e.g. http://host:8419); replaces -cache-dir for runs, -shard, and -merge")
 		submit     = flag.String("submit", "", "submit the run as a job to a tifsserve URL and stream its progress; the server executes it")
@@ -179,19 +175,14 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := parseTierWidth("intra", *intra, runtime.NumCPU())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	specN, err := parseTierWidth("spec", *spec, 2)
+	intraN, err := parseIntra(*intra)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel, IntraParallelism: intraN, Speculative: specN}
+	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel, IntraParallelism: intraN}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
 			name := strings.TrimSpace(w)
@@ -273,18 +264,11 @@ func run() int {
 	if intraN > 1 {
 		eng.SetIntraParallelism(intraN)
 	}
-	if specN > 1 {
-		eng.SetSpeculative(specN)
-	}
 	o.Engine = eng
 	defer eng.Close()
 	defer func() {
 		fmt.Fprintf(os.Stderr, "engine: %d simulations run, %d store hits, %d grammar builds\n",
 			eng.SimulationsRun(), eng.StoreHits(), eng.GrammarBuilds())
-		if specN > 1 {
-			w, c, rb, l := eng.SpecCounters()
-			fmt.Fprintf(os.Stderr, "speculation: %d windows, %d committed, %d rollbacks, %d latched-off runs\n", w, c, rb, l)
-		}
 	}()
 
 	if *experiment == "all" {
@@ -300,26 +284,24 @@ func run() int {
 	return interrupted(ctx)
 }
 
-// parseTierWidth interprets the shared -intra/-spec flag syntax: "off"
-// (and widths 0/1) disables the tier, "on" enables it at onWidth,
-// "auto" sizes it to the machine (runtime.NumCPU()), and a bare integer
-// sets the width directly. Negative widths are rejected with a clear
-// error instead of silently running serial.
-func parseTierWidth(flagName, val string, onWidth int) (int, error) {
+// parseIntra interprets the -intra flag: "off" (and widths 0/1) runs
+// serially, "on" and "auto" size the tier to the machine
+// (runtime.NumCPU()), and a bare integer sets the width directly.
+// Negative widths are rejected with a clear error instead of silently
+// running serial.
+func parseIntra(val string) (int, error) {
 	switch val {
 	case "", "off":
 		return 0, nil
-	case "on":
-		return onWidth, nil
-	case "auto":
+	case "on", "auto":
 		return runtime.NumCPU(), nil
 	}
 	n, err := strconv.Atoi(val)
 	if err != nil {
-		return 0, fmt.Errorf("bad -%s %q: want off|on|auto or a non-negative integer", flagName, val)
+		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
 	}
 	if n < 0 {
-		return 0, fmt.Errorf("bad -%s %d: width must be non-negative", flagName, n)
+		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
 	}
 	return n, nil
 }
@@ -350,7 +332,6 @@ func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []s
 		Events:           o.Events,
 		Cores:            o.Cores,
 		IntraParallelism: o.IntraParallelism,
-		Speculative:      o.Speculative,
 	}
 	st, err := tifs.SubmitJob(ctx, c, req)
 	if err != nil {

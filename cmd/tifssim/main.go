@@ -60,8 +60,7 @@ func run() int {
 		events    = flag.Uint64("events", 0, "per-core events (0 = scale default)")
 		cores     = flag.Int("cores", 4, "number of cores")
 		baseline  = flag.Bool("baseline", true, "also run the next-line baseline and report speedup")
-		intra     = flag.String("intra", "off", "producer shards inside the simulation: off|on|auto|N (off/0/1 = serial, auto = NumCPU; report bytes identical at every setting)")
-		specMode  = flag.String("spec", "off", "speculative merge execution: off|on|auto|N (predict/verify/commit windows; report bytes identical at every setting)")
+		intra     = flag.String("intra", "off", "producer shards inside the simulation: off|on|auto|N (off/0/1 = serial, on/auto = NumCPU; report bytes identical at every setting)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result store directory (empty = disabled)")
 		remote    = flag.String("remote", "", "tifsserve base URL (e.g. http://host:8419); remote result store instead of -cache-dir")
 		submit    = flag.String("submit", "", "submit the simulation as a job to a tifsserve URL; the server executes it and returns the report")
@@ -98,12 +97,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := parseTierWidth("intra", *intra, runtime.NumCPU())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	specN, err := parseTierWidth("spec", *specMode, 2)
+	intraN, err := parseIntra(*intra)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -112,7 +106,7 @@ func run() int {
 	defer stop()
 
 	if *submit != "" {
-		return runSubmit(ctx, *submit, *name, *mechName, *scaleName, *baseline, *events, *cores, intraN, specN)
+		return runSubmit(ctx, *submit, *name, *mechName, *scaleName, *baseline, *events, *cores, intraN)
 	}
 
 	// Run the mechanism and (when requested) its next-line baseline as one
@@ -142,27 +136,19 @@ func run() int {
 	}
 	jobs := []tifs.SimJob{{Spec: spec, Scale: scale, Config: tifs.SimConfig{
 		Cores: *cores, EventsPerCore: *events, Mechanism: mech,
-		IntraParallelism: intraN, Speculative: specN,
+		IntraParallelism: intraN,
 	}}}
 	wantBaseline := *baseline && mech.Kind != "none"
 	if wantBaseline {
 		jobs = append(jobs, tifs.SimJob{Spec: spec, Scale: scale, Config: tifs.SimConfig{
 			Cores: *cores, EventsPerCore: *events, Mechanism: tifs.NextLineOnly(),
-			IntraParallelism: intraN, Speculative: specN,
+			IntraParallelism: intraN,
 		}})
 	}
 	results := tifs.SimulateAllBackendContext(ctx, jobs, 0, st)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "tifssim: interrupted — no report (partial results, if any, were saved to the cache)")
 		return exitInterrupted
-	}
-	if specN > 1 {
-		// Speculation telemetry stays out of the report bytes (they are
-		// byte-identical at every -spec setting); it lands on stderr.
-		for i, r := range results {
-			fmt.Fprintf(os.Stderr, "speculation[%d]: %d windows, %d committed, %d rollbacks, latched=%v\n",
-				i, r.Spec.Windows, r.Spec.Committed, r.Spec.Rollbacks, r.Spec.Latched)
-		}
 	}
 	// Render through the shared report so local and -submit output are
 	// byte-identical by construction.
@@ -174,33 +160,31 @@ func run() int {
 	return 0
 }
 
-// parseTierWidth interprets the shared -intra/-spec flag syntax: "off"
-// (and widths 0/1) disables the tier, "on" enables it at onWidth,
-// "auto" sizes it to the machine (runtime.NumCPU()), and a bare integer
-// sets the width directly. Negative widths are rejected with a clear
-// error instead of silently running serial.
-func parseTierWidth(flagName, val string, onWidth int) (int, error) {
+// parseIntra interprets the -intra flag: "off" (and widths 0/1) runs
+// serially, "on" and "auto" size the tier to the machine
+// (runtime.NumCPU()), and a bare integer sets the width directly.
+// Negative widths are rejected with a clear error instead of silently
+// running serial.
+func parseIntra(val string) (int, error) {
 	switch val {
 	case "", "off":
 		return 0, nil
-	case "on":
-		return onWidth, nil
-	case "auto":
+	case "on", "auto":
 		return runtime.NumCPU(), nil
 	}
 	n, err := strconv.Atoi(val)
 	if err != nil {
-		return 0, fmt.Errorf("bad -%s %q: want off|on|auto or a non-negative integer", flagName, val)
+		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
 	}
 	if n < 0 {
-		return 0, fmt.Errorf("bad -%s %d: width must be non-negative", flagName, n)
+		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
 	}
 	return n, nil
 }
 
 // runSubmit posts the simulation to a sweep service's job API and
 // prints the server-rendered report.
-func runSubmit(ctx context.Context, url, workload, mechanism, scale string, baseline bool, events uint64, cores, intra, spec int) int {
+func runSubmit(ctx context.Context, url, workload, mechanism, scale string, baseline bool, events uint64, cores, intra int) int {
 	c := tifs.DialJobService(url, nil)
 	host, err := os.Hostname()
 	if err != nil {
@@ -210,7 +194,7 @@ func runSubmit(ctx context.Context, url, workload, mechanism, scale string, base
 	st, err := tifs.SubmitJob(ctx, c, tifs.JobRequest{
 		Workload: workload, Mechanism: mechanism, Baseline: baseline,
 		Scale: scale, Events: events, Cores: cores,
-		IntraParallelism: intra, Speculative: spec,
+		IntraParallelism: intra,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tifssim:", err)

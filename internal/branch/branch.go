@@ -175,33 +175,6 @@ func (h *Hybrid) Reset() {
 	}
 }
 
-// Snapshot holds a checkpoint of a Hybrid's trained state (both
-// component tables, the global history, and the chooser). Save reuses
-// its buffers, so pooled snapshots allocate only on first use.
-type Snapshot struct {
-	gshare  []counter
-	history uint64
-	bimodal []counter
-	chooser []counter
-}
-
-// Save copies the predictor's current state into s.
-func (h *Hybrid) Save(s *Snapshot) {
-	s.gshare = append(s.gshare[:0], h.gshare.table...)
-	s.history = h.gshare.history
-	s.bimodal = append(s.bimodal[:0], h.bimodal.table...)
-	s.chooser = append(s.chooser[:0], h.chooser...)
-}
-
-// Restore rewinds the predictor to the state captured by Save. The
-// snapshot must come from a predictor with the same table sizes.
-func (h *Hybrid) Restore(s *Snapshot) {
-	copy(h.gshare.table, s.gshare)
-	h.gshare.history = s.history
-	copy(h.bimodal.table, s.bimodal)
-	copy(h.chooser, s.chooser)
-}
-
 func (h *Hybrid) chooserIndex(pc isa.Addr) uint64 {
 	return (uint64(pc) >> 2) & h.mask
 }

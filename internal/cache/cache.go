@@ -185,30 +185,6 @@ func (c *Cache) Fill(b isa.Block) (evicted isa.Block, ok bool) {
 	return evictedBlock, hadVictim
 }
 
-// Snapshot holds a checkpoint of a Cache's ways, LRU clock, and
-// counters. Save reuses its buffer, so a pooled Snapshot reaches zero
-// steady-state allocations after the first save of a geometry.
-type Snapshot struct {
-	ways  []way
-	clock uint64
-	stats Stats
-}
-
-// Save copies the cache's current state into s.
-func (c *Cache) Save(s *Snapshot) {
-	s.ways = append(s.ways[:0], c.ways...)
-	s.clock = c.clock
-	s.stats = c.stats
-}
-
-// Restore rewinds the cache to the state captured by Save. The snapshot
-// must come from a cache of the same geometry.
-func (c *Cache) Restore(s *Snapshot) {
-	copy(c.ways, s.ways)
-	c.clock = s.clock
-	c.stats = s.stats
-}
-
 // Invalidate removes b if present and reports whether it was present.
 func (c *Cache) Invalidate(b isa.Block) bool {
 	if w := c.find(b); w != nil {

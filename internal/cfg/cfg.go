@@ -1,5 +1,6 @@
 // Package cfg implements the synthetic program model that substitutes for
-// the paper's FLEXUS full-system instruction traces (see DESIGN.md §2).
+// the paper's FLEXUS full-system instruction traces (see the README's
+// "Substitutions" section).
 //
 // A Program is a static code image: functions made of basic blocks with
 // structured control flow — straight-line runs, branch hammocks, inner

@@ -3,8 +3,8 @@
 // through a 64 KB 2-way L1-I with a two-block next-line prefetcher, an
 // attached (pluggable) instruction prefetcher, a hybrid branch predictor
 // charging misprediction refills, and a width-4 back end whose
-// data-side stalls are a calibrated per-instruction CPI adder
-// (DESIGN.md §2 explains the substitution).
+// data-side stalls are a calibrated per-instruction CPI adder (the
+// README's "Substitutions" section explains the substitution).
 //
 // All prefetcher differentiation — timeliness, partial latency hiding,
 // bank contention — flows through the cycle accounting here.
@@ -269,74 +269,6 @@ func (c *Core) SetPrefetcher(pf prefetch.Prefetcher) {
 	}
 	c.pf = pf
 	_, c.pfNone = pf.(prefetch.None)
-}
-
-// Snapshot checkpoints a Core's full mutable state for the simulator's
-// speculative merge tier. The attached prefetcher is checkpointed
-// separately (by concrete type, at the sim layer); the event source is
-// rewound by the caller, so only the pulled-but-unconsumed window tail
-// is captured here. Save reuses the snapshot's buffers, so pooled
-// snapshots stop allocating at steady state.
-type Snapshot struct {
-	l1   cache.Snapshot
-	pred branch.Snapshot
-
-	window []isa.BlockEvent
-
-	nlBlock []isa.Block
-	nlReady []uint64
-	nlUsed  []uint64
-	nlCount [256]uint8
-	nlSeq   uint64
-
-	srcBudget uint64
-	budgeted  bool
-	execAcc   float64
-	dataAcc   float64
-	cycle     uint64
-	done      bool
-	stats     Stats
-}
-
-// Save copies the core's current state into s.
-func (c *Core) Save(s *Snapshot) {
-	c.l1.Save(&s.l1)
-	c.pred.Save(&s.pred)
-	s.window = append(s.window[:0], c.window[c.head:]...)
-	s.nlBlock = append(s.nlBlock[:0], c.nlBlock...)
-	s.nlReady = append(s.nlReady[:0], c.nlReady...)
-	s.nlUsed = append(s.nlUsed[:0], c.nlUsed...)
-	s.nlCount = c.nlCount
-	s.nlSeq = c.nlSeq
-	s.srcBudget = c.srcBudget
-	s.budgeted = c.budgeted
-	s.execAcc = c.execAcc
-	s.dataAcc = c.dataAcc
-	s.cycle = c.cycle
-	s.done = c.done
-	s.stats = c.stats
-}
-
-// Restore rewinds the core to the state captured by Save. The window is
-// restored compacted (head 0), which is behaviorally identical: refill
-// and consumption depend only on the unconsumed tail.
-func (c *Core) Restore(s *Snapshot) {
-	c.l1.Restore(&s.l1)
-	c.pred.Restore(&s.pred)
-	c.window = append(c.window[:0], s.window...)
-	c.head = 0
-	c.nlBlock = append(c.nlBlock[:0], s.nlBlock...)
-	c.nlReady = append(c.nlReady[:0], s.nlReady...)
-	c.nlUsed = append(c.nlUsed[:0], s.nlUsed...)
-	c.nlCount = s.nlCount
-	c.nlSeq = s.nlSeq
-	c.srcBudget = s.srcBudget
-	c.budgeted = s.budgeted
-	c.execAcc = s.execAcc
-	c.dataAcc = s.dataAcc
-	c.cycle = s.cycle
-	c.done = s.done
-	c.stats = s.stats
 }
 
 // fillWindow tops up the fetch-target queue, compacting the consumed

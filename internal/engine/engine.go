@@ -56,15 +56,12 @@ type Job struct {
 // across processes and machines, which is what lets the persistent store
 // and the shard partitioner address work content-wise.
 //
-// IntraParallelism, Speculative, and SpecChaos are normalized out: they
-// alter execution inside a run without changing a single output byte
-// (sim's golden and byte-identity tests enforce that), so runs at
-// different settings must deduplicate against each other and share
-// store entries.
+// IntraParallelism is normalized out: it alters execution inside a run
+// without changing a single output byte (sim's golden and byte-identity
+// tests enforce that), so runs at different settings must deduplicate
+// against each other and share store entries.
 func (j Job) Key() string {
 	j.Config.IntraParallelism = 0
-	j.Config.Speculative = 0
-	j.Config.SpecChaos = 0
 	return fmt.Sprintf("%+v|%d|%+v", j.Spec, j.Scale, j.Config)
 }
 
@@ -105,12 +102,8 @@ type Engine struct {
 	sem         chan struct{} // counting semaphore over running work
 
 	// intra is the default sim.Config.IntraParallelism injected into
-	// jobs that leave it unset (see SetIntraParallelism); spec and
-	// specChaos are the matching defaults for Config.Speculative and
-	// Config.SpecChaos (see SetSpeculative).
-	intra     int
-	spec      int
-	specChaos int
+	// jobs that leave it unset (see SetIntraParallelism).
+	intra int
 
 	mu       sync.Mutex
 	closed   bool
@@ -140,13 +133,6 @@ type Engine struct {
 	runs          atomic.Uint64 // simulations actually executed (memo misses)
 	storeHits     atomic.Uint64 // jobs satisfied from the persistent store
 	grammarBuilds atomic.Uint64 // grammar snapshot sets actually constructed
-
-	// Cumulative speculative-tier counters across all runs (see
-	// SpecCounters).
-	specWindows   atomic.Uint64
-	specCommits   atomic.Uint64
-	specRollbacks atomic.Uint64
-	specLatches   atomic.Uint64
 }
 
 // Observer receives engine scheduling events, keyed by the canonical
@@ -155,9 +141,6 @@ type Engine struct {
 //	EventSimStart/EventSimDone      a memo-missing simulation ran
 //	EventTraceStart/EventTraceDone  a memo-missing trace extraction ran
 //	EventStoreHit                   the persistent tier supplied the value
-//	EventSpec                       a simulation ran speculatively; the key
-//	                                carries "|windows= committed= rollbacks=
-//	                                latched=" counters appended
 //
 // Deduplicated work emits no event: a submission that joins an
 // in-flight or completed entry is invisible here, which is exactly what
@@ -173,7 +156,6 @@ const (
 	EventTraceStart = "trace-start"
 	EventTraceDone  = "trace-done"
 	EventStoreHit   = "store-hit"
-	EventSpec       = "spec"
 )
 
 // SetObserver attaches a scheduling observer. Set it before submitting
@@ -216,61 +198,15 @@ func (e *Engine) SetIntraParallelism(n int) {
 		n = 1
 	}
 	e.intra = n
-	e.resizeSem()
-}
-
-// IntraParallelism returns the default per-run shard count.
-func (e *Engine) IntraParallelism() int { return e.intra }
-
-// SetSpeculative makes every job that leaves Config.Speculative unset
-// run with the speculative merge tier at level n (0/1 serial, >= 2
-// engages the speculation worker), narrowing the worker pool to budget
-// for the extra goroutine per run. Same rules as SetIntraParallelism:
-// explicit per-job settings win, call before submitting work.
-func (e *Engine) SetSpeculative(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.spec = n
-	e.resizeSem()
-}
-
-// Speculative returns the default speculation level.
-func (e *Engine) Speculative() int { return e.spec }
-
-// SetSpecChaos makes every job that leaves Config.SpecChaos unset force
-// a speculation mispredict every n-th window (0 disables). A test/bench
-// knob; output bytes are unaffected.
-func (e *Engine) SetSpecChaos(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.specChaos = n
-}
-
-// resizeSem re-derives the worker bound from the per-run goroutine
-// weight: intra producer shards plus the speculation worker.
-func (e *Engine) resizeSem() {
-	weight := e.intra
-	if weight < 1 {
-		weight = 1
-	}
-	if e.spec >= 2 {
-		weight++
-	}
-	workers := e.parallelism / weight
+	workers := e.parallelism / n
 	if workers < 1 {
 		workers = 1
 	}
 	e.sem = make(chan struct{}, workers)
 }
 
-// SpecCounters returns the cumulative speculative-tier counters across
-// every simulation this engine ran: windows judged, windows committed,
-// windows rolled back, and runs whose fallback latch tripped.
-func (e *Engine) SpecCounters() (windows, committed, rollbacks, latches uint64) {
-	return e.specWindows.Load(), e.specCommits.Load(), e.specRollbacks.Load(), e.specLatches.Load()
-}
+// IntraParallelism returns the default per-run shard count.
+func (e *Engine) IntraParallelism() int { return e.intra }
 
 // SimulationsRun returns how many simulations actually executed —
 // submissions minus memoization and store hits — for dedup telemetry and
@@ -328,7 +264,7 @@ func (e *Engine) putRunner(r *sim.Runner) {
 }
 
 // Close releases every pooled simulation machine's worker goroutines
-// (intra producers, speculation workers). Call it when the engine's
+// (the intra producers). Call it when the engine's
 // owner is done submitting work; jobs still in flight return their
 // runners afterwards and those are released on return. A closed engine
 // remains usable — later jobs simply build fresh runners — so Close is
@@ -424,31 +360,15 @@ func (e *Engine) start(ctx context.Context, job Job) *simEntry {
 		r := e.runner()
 		cfg := job.Config
 		if cfg.IntraParallelism == 0 {
-			// The engine-wide defaults apply only where the job didn't
-			// choose; either way the key above is agnostic to all of
-			// these execution knobs.
+			// The engine-wide default applies only where the job didn't
+			// choose; either way the key above is agnostic to this
+			// execution knob.
 			cfg.IntraParallelism = e.intra
-		}
-		if cfg.Speculative == 0 {
-			cfg.Speculative = e.spec
-		}
-		if cfg.SpecChaos == 0 {
-			cfg.SpecChaos = e.specChaos
 		}
 		// The pooled runner reuses its result buffers next run, so the
 		// memoized copy must own its memory.
 		en.res = copyResult(r.Run(job.Spec, job.Scale, cfg))
 		e.putRunner(r)
-		if sp := en.res.Spec; sp.Windows > 0 {
-			e.specWindows.Add(sp.Windows)
-			e.specCommits.Add(sp.Committed)
-			e.specRollbacks.Add(sp.Rollbacks)
-			if sp.Latched {
-				e.specLatches.Add(1)
-			}
-			e.notify(EventSpec, fmt.Sprintf("%s|windows=%d committed=%d rollbacks=%d latched=%v",
-				key, sp.Windows, sp.Committed, sp.Rollbacks, sp.Latched))
-		}
 		if e.store != nil {
 			e.store.PutResult(key, en.res)
 		}

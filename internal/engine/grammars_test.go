@@ -54,6 +54,31 @@ func TestEngineIntraDefaultMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestEngineClose: Close releases the pooled runners deterministically,
+// and a closed engine keeps working — later jobs build fresh runners
+// that are released on return rather than re-pooled.
+func TestEngineClose(t *testing.T) {
+	oltp := spec(t, "OLTP-DB2")
+	e := New(2)
+	e.SetIntraParallelism(2)
+	a := job(oltp, sim.Baseline())
+	before := e.Run(context.Background(), a)
+	e.Close()
+	e.Close() // idempotent
+	if n := len(e.runnerPool); n != 0 {
+		t.Fatalf("runner pool holds %d runners after Close", n)
+	}
+	b := a
+	b.Config.EventsPerCore = 9_000 // a fresh key, so it really simulates
+	after := e.Run(context.Background(), b)
+	if after.Cycles == 0 || before.Cycles == 0 {
+		t.Fatal("runs around Close produced empty results")
+	}
+	if n := len(e.runnerPool); n != 0 {
+		t.Errorf("closed engine re-pooled %d runners", n)
+	}
+}
+
 // grammarFromTraces derives what Grammars should return for one core,
 // straight from the memoized traces.
 func grammarFromTraces(recs []trace.MissRecord, dropSequential bool) *sequitur.Snapshot {

@@ -52,16 +52,6 @@ type Options struct {
 	// knobs are set the engine divides its worker budget so run-level
 	// times intra-run concurrency does not oversubscribe the host.
 	IntraParallelism int
-	// Speculative engages the speculative merge tier inside each
-	// simulation (sim.Config.Speculative: >= 2 runs a speculation
-	// worker ahead of the merge thread). A pure execution knob like
-	// IntraParallelism — byte-identical output, excluded from job
-	// identity everywhere.
-	Speculative int
-	// SpecChaos forces a speculation mispredict every n-th window
-	// (sim.Config.SpecChaos), exercising the rollback path
-	// deterministically without changing output bytes.
-	SpecChaos int
 	// Engine overrides the simulation scheduler (nil selects the
 	// process-wide engine when Parallelism is 0 and Store is nil, or a
 	// fresh engine otherwise). Supplying one engine across several
@@ -101,16 +91,10 @@ func (o Options) engine() *engine.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	if o.Parallelism != 0 || o.IntraParallelism > 1 || o.Speculative > 1 || o.SpecChaos > 0 || o.Store != nil || o.Backend != nil {
+	if o.Parallelism != 0 || o.IntraParallelism > 1 || o.Store != nil || o.Backend != nil {
 		e := engine.New(o.Parallelism)
 		if o.IntraParallelism > 1 {
 			e.SetIntraParallelism(o.IntraParallelism)
-		}
-		if o.Speculative > 1 {
-			e.SetSpeculative(o.Speculative)
-		}
-		if o.SpecChaos > 0 {
-			e.SetSpecChaos(o.SpecChaos)
 		}
 		if o.Backend != nil {
 			e.SetBackend(o.Backend)
@@ -132,8 +116,6 @@ func (o Options) job(spec workload.Spec, m sim.Mechanism) engine.Job {
 			EventsPerCore:    o.Events,
 			Mechanism:        m,
 			IntraParallelism: o.IntraParallelism,
-			Speculative:      o.Speculative,
-			SpecChaos:        o.SpecChaos,
 		},
 	}
 }

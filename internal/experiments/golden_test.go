@@ -17,7 +17,8 @@ import (
 	"tifs/internal/workload"
 )
 
-// updateGolden regenerates testdata/golden/*.txt instead of comparing:
+// updateGolden regenerates testdata/golden/*.txt and
+// testdata/golden/analysis/*.txt instead of comparing:
 //
 //	go test ./internal/experiments -run TestGolden -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment outputs")
@@ -51,13 +52,11 @@ func readGolden(t *testing.T, id string) string {
 }
 
 // TestGoldenOutputs holds every experiment to its committed small-scale
-// output, byte for byte, across serial, 8-way-parallel, intra-parallel
-// (2/4/8 producer shards per run), and speculative execution — the full
-// intra {1,4} x spec {off,on} matrix plus a forced-rollback chaos
-// variant. This is the regression net under the whole sweep machinery:
-// any change to simulator semantics, table rendering, or scheduling —
-// including the intra-run event pipeline and the speculative merge
-// tier's commit/rollback protocol — that alters a single byte of any
+// output, byte for byte, across serial, 8-way-parallel, and
+// intra-parallel (2/4/8 producer shards per run) execution. This is the
+// regression net under the whole sweep machinery: any change to
+// simulator semantics, table rendering, or scheduling — including the
+// intra-run event pipeline — that alters a single byte of any
 // experiment fails here.
 func TestGoldenOutputs(t *testing.T) {
 	if *updateGolden {
@@ -90,31 +89,6 @@ func TestGoldenOutputs(t *testing.T) {
 			e.Close()
 		}
 	}()
-	// The speculative leg of the matrix: spec-on at intra 1 and 4, plus
-	// a chaos engine forcing rollbacks mid-checkpoint-interval, which
-	// must STILL render golden bytes (rollbacks re-execute serially).
-	specModes := []struct {
-		name  string
-		intra int
-		chaos int
-	}{
-		{"spec", 0, 0},
-		{"spec-intra-4", 4, 0},
-		{"spec-chaos-5", 0, 5},
-	}
-	specEngines := make([]*engine.Engine, len(specModes))
-	for i, m := range specModes {
-		e := engine.New(4)
-		e.SetSpeculative(2)
-		if m.intra > 1 {
-			e.SetIntraParallelism(m.intra)
-		}
-		if m.chaos > 0 {
-			e.SetSpecChaos(m.chaos)
-		}
-		specEngines[i] = e
-		defer e.Close()
-	}
 	for _, r := range Registry() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
@@ -132,16 +106,66 @@ func TestGoldenOutputs(t *testing.T) {
 					t.Errorf("intra-%d output diverged from golden:\n--- golden\n%s\n--- got\n%s", n, want, got)
 				}
 			}
-			for i, m := range specModes {
-				o := goldenOptions(4, specEngines[i])
-				o.IntraParallelism = m.intra
-				o.Speculative = 2
-				o.SpecChaos = m.chaos
-				if got := r.Run(o); got != want {
-					t.Errorf("%s output diverged from golden:\n--- golden\n%s\n--- got\n%s", m.name, want, got)
-				}
-			}
 		})
+	}
+}
+
+// analysisGoldens is the second golden configuration: the offline
+// analysis figures at budgets where the miss traces repeat. At
+// goldenOptions' 4,000 events per core the traces barely recur, so
+// fig6.txt prints one value for all four lookup policies and fig11.txt
+// one value for all eight IML capacities. Here Fig. 3/5/6 run at small
+// scale with 60,000 events per core, which separates the Fig. 6
+// policies, and Fig. 11 runs at medium scale's default analysis budget
+// on two workloads, where coverage rises with capacity. The files live
+// in testdata/golden/analysis/ and regenerate with -update-golden.
+var analysisGoldens = []struct {
+	id string
+	o  Options
+}{
+	{"fig3", Options{Scale: workload.ScaleSmall, Events: 60_000, Cores: 4}},
+	{"fig5", Options{Scale: workload.ScaleSmall, Events: 60_000, Cores: 4}},
+	{"fig6", Options{Scale: workload.ScaleSmall, Events: 60_000, Cores: 4}},
+	{"fig11", Options{Scale: workload.ScaleMedium, Cores: 4,
+		Workloads: []string{"OLTP-DB2", "Web-Apache"}}},
+}
+
+func analysisGoldenPath(id string) string {
+	return filepath.Join("testdata", "golden", "analysis", id+".txt")
+}
+
+// TestGoldenAnalysisOutputs holds the analysis figures to their
+// committed outputs under analysisGoldens, byte for byte. One engine
+// serves all four, so Fig. 3, 5 and 6 share their traces and grammars.
+func TestGoldenAnalysisOutputs(t *testing.T) {
+	e := engine.New(0)
+	defer e.Close()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Join("testdata", "golden", "analysis"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range analysisGoldens {
+		r, ok := ByID(g.id)
+		if !ok {
+			t.Fatalf("unknown experiment %q", g.id)
+		}
+		o := g.o
+		o.Engine = e
+		got := r.Run(o)
+		if *updateGolden {
+			if err := os.WriteFile(analysisGoldenPath(g.id), []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		data, err := os.ReadFile(analysisGoldenPath(g.id))
+		if err != nil {
+			t.Fatalf("missing analysis golden output (regenerate with -update-golden): %v", err)
+		}
+		if want := string(data); got != want {
+			t.Errorf("%s output diverged from analysis golden:\n--- golden\n%s\n--- got\n%s", g.id, want, got)
+		}
 	}
 }
 

@@ -117,43 +117,3 @@ func (m *Map) Reset() {
 	clear(m.used)
 	m.n = 0
 }
-
-// Snapshot holds a checkpoint of a Map's full contents. A Snapshot is
-// reusable: Save overwrites it in place, growing its buffers only until
-// they reach the table's steady-state size.
-type Snapshot struct {
-	keys []uint64
-	vals []uint64
-	used []bool
-	n    int
-	mask uint64
-}
-
-// Save copies the table's current state into s, reusing s's buffers.
-func (m *Map) Save(s *Snapshot) {
-	s.keys = append(s.keys[:0], m.keys...)
-	s.vals = append(s.vals[:0], m.vals...)
-	s.used = append(s.used[:0], m.used...)
-	s.n = m.n
-	s.mask = m.mask
-}
-
-// Restore rewinds the table to the state captured by Save. A table only
-// ever grows between Save and Restore, so restoring normally reslices
-// the existing arrays down; it allocates only if the snapshot is larger
-// than the table's current capacity.
-func (m *Map) Restore(s *Snapshot) {
-	if cap(m.keys) < len(s.keys) {
-		m.keys = make([]uint64, len(s.keys))
-		m.vals = make([]uint64, len(s.vals))
-		m.used = make([]bool, len(s.used))
-	}
-	m.keys = m.keys[:len(s.keys)]
-	m.vals = m.vals[:len(s.vals)]
-	m.used = m.used[:len(s.used)]
-	copy(m.keys, s.keys)
-	copy(m.vals, s.vals)
-	copy(m.used, s.used)
-	m.n = s.n
-	m.mask = s.mask
-}

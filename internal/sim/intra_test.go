@@ -131,3 +131,33 @@ func TestIntraRace(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerClose: Close releases the worker goroutines, is idempotent,
+// and leaves the Runner fully usable — a later run recreates workers
+// and still matches a fresh serial run.
+func TestRunnerClose(t *testing.T) {
+	spec, ok := workload.ByName("OLTP-DB2")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	cfg := Config{
+		EventsPerCore:    12_000,
+		WarmupEvents:     3_000,
+		Mechanism:        Baseline(),
+		IntraParallelism: 4,
+	}
+	serial := cfg
+	serial.IntraParallelism = 0
+	want := Run(spec, workload.ScaleSmall, serial)
+
+	r := NewRunner()
+	r.Close() // Close before any run is a no-op
+	for i := 0; i < 3; i++ {
+		got := copyResult(r.Run(spec, workload.ScaleSmall, cfg))
+		if !resultsEqual(want, got) {
+			t.Fatalf("cycle %d: run after Close diverged", i)
+		}
+		r.Close()
+		r.Close() // idempotent
+	}
+}

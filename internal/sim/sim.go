@@ -116,21 +116,6 @@ type Config struct {
 	// identical at every setting (see intra.go for the determinism
 	// model), so it never participates in result identity.
 	IntraParallelism int
-	// Speculative engages the speculative merge tier: a worker
-	// goroutine runs core-step windows ahead of the merge thread, which
-	// verifies the recorded interleaving against the authoritative
-	// min-heap schedule and commits matching windows instead of
-	// re-executing them (see spec.go). 0 and 1 run the merge serially;
-	// >= 2 enables the speculation worker. Like IntraParallelism it is
-	// purely an execution knob — output bytes are identical at every
-	// setting — so it never participates in result identity.
-	Speculative int
-	// SpecChaos forces a speculation mispredict every n-th window by
-	// corrupting the recorded interleaving (never the machine state),
-	// exercising the rollback path deterministically. 0 disables. A
-	// test/bench knob; output bytes are unaffected because rollbacks
-	// re-execute serially.
-	SpecChaos int
 }
 
 // Result is the outcome of one simulation run.
@@ -152,11 +137,6 @@ type Result struct {
 	// Traffic is the L2 ledger; Uncore the L2 activity counters.
 	Traffic uncore.Traffic
 	Uncore  uncore.Stats
-	// Spec holds the speculative-tier commit/rollback counters (zero
-	// for serial merges). Pure execution telemetry: it is deliberately
-	// absent from rendered reports, goldens, and the persistent store
-	// codec, since speculation never changes output bytes.
-	Spec SpecStats
 }
 
 // IPC returns aggregate instructions per (makespan) cycle.
@@ -290,7 +270,6 @@ type Runner struct {
 	tstats      core.TIFSStats
 
 	intra intraState
-	spec  specState
 
 	// finalizerArmed records that the backstop finalizer releasing the
 	// worker goroutines is registered (see Close).
@@ -342,13 +321,6 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	sources := ge.sources
 	if shards > 1 {
 		sources = r.pipeSources(cfg.Cores)
-	}
-	// The speculative merge tier needs to rewind event delivery on a
-	// rollback, so each core's source (executor or intra pipe alike) is
-	// wrapped in a recording tee the cores bind to below.
-	speculative := cfg.Speculative >= 2
-	if speculative {
-		sources = r.specSources(sources, cfg.Cores)
 	}
 	if r.un == nil {
 		r.un = uncore.New(cfg.Uncore)
@@ -462,15 +434,7 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 		r.startIntra(ge.sources, cfg.WarmupEvents+cfg.EventsPerCore, shards)
 	}
 	r.heap.init(cores)
-	if speculative {
-		kind := cfg.Mechanism.Kind
-		if kind == "" {
-			kind = KindNone
-		}
-		r.runSpeculative(kind, cfg.Cores, cfg.WarmupEvents, cfg.SpecChaos)
-	} else {
-		r.mergeSerial(cfg.WarmupEvents, cfg.Cores)
-	}
+	r.mergeSerial(cfg.WarmupEvents, cfg.Cores)
 	if shards > 1 {
 		r.finishIntra()
 	}
@@ -480,9 +444,6 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 		Mechanism: cfg.Mechanism.Name(),
 		Traffic:   subTraffic(un.Traffic(), r.warmTraffic),
 		Uncore:    un.Stats(),
-	}
-	if speculative {
-		res.Spec = r.spec.stats
 	}
 	if cap(r.perCore) < cfg.Cores {
 		r.perCore = make([]cpu.Stats, 0, cfg.Cores)
@@ -506,11 +467,11 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	return res
 }
 
-// mergeSerial runs the authoritative min-heap schedule to completion on
-// the calling goroutine. Cores are interleaved in core-local time order,
-// lowest clock first with ties to the lowest index, so cross-core L2
-// bank contention and the shared TIFS Index Table behave as they would
-// in a concurrent system.
+// mergeSerial runs the min-heap schedule to completion on the calling
+// goroutine. Cores are interleaved in core-local time order, lowest
+// clock first with ties to the lowest index, so cross-core L2 bank
+// contention and the shared TIFS Index Table behave as they would in a
+// concurrent system.
 func (r *Runner) mergeSerial(warmupEvents uint64, nCores int) {
 	h := &r.heap
 	cores := r.cores
@@ -525,30 +486,8 @@ func (r *Runner) mergeSerial(warmupEvents uint64, nCores int) {
 	}
 }
 
-// mergeSerialN runs at most target schedule steps (a pop of an exhausted
-// core counts as a step, matching the speculation worker's per-record
-// accounting) and reports how many ran. The speculative tier uses it to
-// re-execute the rolled-back span serially.
-func (r *Runner) mergeSerialN(target, warmupEvents uint64, nCores int) uint64 {
-	h := &r.heap
-	cores := r.cores
-	var steps uint64
-	for steps < target && h.len() > 0 {
-		next := h.min()
-		if cores[next].Step() {
-			h.fix()
-			r.noteWarm(next, warmupEvents, nCores)
-		} else {
-			h.pop()
-		}
-		steps++
-	}
-	return steps
-}
-
 // noteWarm snapshots a core's counters the first time it crosses its
-// warmup boundary so only steady-state behaviour is measured. Shared by
-// the serial, speculative, and rollback-re-execution merge loops.
+// warmup boundary so only steady-state behaviour is measured.
 func (r *Runner) noteWarm(next int, warmupEvents uint64, nCores int) {
 	if r.warmed[next] || r.cores[next].Stats().Events < warmupEvents {
 		return
@@ -562,13 +501,13 @@ func (r *Runner) noteWarm(next int, warmupEvents uint64, nCores int) {
 	}
 }
 
-// Close releases the Runner's background worker goroutines — the
-// intra-run shard producers and the speculation worker. It must not be
-// called while a Run is in flight. Close is idempotent, and the Runner
-// remains usable afterwards: the next run that needs workers recreates
-// them. Owners with a deterministic lifecycle (the experiment engine's
-// runner pool, the CLIs) call Close explicitly; a finalizer performs the
-// same release as a backstop for Runners dropped without it.
+// Close releases the Runner's background worker goroutines, the
+// intra-run shard producers. It must not be called while a Run is in
+// flight. Close is idempotent, and the Runner remains usable afterwards:
+// the next run that needs workers recreates them. Owners with a
+// deterministic lifecycle (the experiment engine's runner pool, the
+// CLIs) call Close explicitly; a finalizer performs the same release as
+// a backstop for Runners dropped without it.
 func (r *Runner) Close() {
 	if r.finalizerArmed {
 		runtime.SetFinalizer(r, nil)
@@ -594,10 +533,6 @@ func releaseRunnerWorkers(r *Runner) {
 		close(r.intra.work)
 		r.intra.work = nil
 		r.intra.workers = 0
-	}
-	if r.spec.work != nil {
-		close(r.spec.work)
-		r.spec.work = nil
 	}
 }
 
@@ -663,20 +598,21 @@ func subTraffic(a, warm uncore.Traffic) uncore.Traffic {
 	return a.Sub(warm)
 }
 
-// keyHeap is an indexed min-heap keyed on (key, index). The index
-// tie-break reproduces the selection order of a linear scan with a
-// strict < comparison, keeping simulation results byte-identical to the
-// serial scheduler it replaced. It is split out from coreHeap so the
-// speculative merge tier can replay a recorded schedule against a
-// detached clone (spec.go) without touching live cores.
-type keyHeap struct {
-	idx []int
-	key []uint64 // cached core clocks, parallel to idx
+// coreHeap is an indexed min-heap over cores keyed on (clock, core
+// index). The index tie-break reproduces the selection order of a linear
+// scan with a strict < comparison, keeping simulation results
+// byte-identical to the serial scheduler it replaced.
+type coreHeap struct {
+	cores []*cpu.Core
+	idx   []int
+	key   []uint64 // cached core clocks, parallel to idx
 }
 
-// reset rebuilds the heap over n identity-keyed slots whose keys the
-// caller fills before heapifying, reusing its slices across pooled runs.
-func (h *keyHeap) reset(n int) {
+// init (re)builds the heap over cores, reusing its slices across pooled
+// runs.
+func (h *coreHeap) init(cores []*cpu.Core) {
+	h.cores = cores
+	n := len(cores)
 	if cap(h.idx) < n {
 		h.idx = make([]int, n)
 		h.key = make([]uint64, n)
@@ -686,31 +622,35 @@ func (h *keyHeap) reset(n int) {
 	}
 	for i := range h.idx {
 		h.idx[i] = i
+		h.key[i] = cores[i].Cycle()
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 }
 
-func (h *keyHeap) len() int { return len(h.idx) }
+func (h *coreHeap) len() int { return len(h.idx) }
 
 // min returns the index of the core with the lowest clock.
-func (h *keyHeap) min() int { return h.idx[0] }
+func (h *coreHeap) min() int { return h.idx[0] }
 
 // less orders heap slots a and b by (cached clock, core index).
-func (h *keyHeap) less(a, b int) bool {
+func (h *coreHeap) less(a, b int) bool {
 	if h.key[a] != h.key[b] {
 		return h.key[a] < h.key[b]
 	}
 	return h.idx[a] < h.idx[b]
 }
 
-// fixKey sets the root's key to k (which only grows) and restores heap
-// order.
-func (h *keyHeap) fixKey(k uint64) {
-	h.key[0] = k
+// fix restores heap order after the root's clock grew (a core's clock
+// only moves forward).
+func (h *coreHeap) fix() {
+	h.key[0] = h.cores[h.idx[0]].Cycle()
 	h.down(0)
 }
 
 // pop removes the root (an exhausted core).
-func (h *keyHeap) pop() {
+func (h *coreHeap) pop() {
 	last := len(h.idx) - 1
 	h.idx[0] = h.idx[last]
 	h.key[0] = h.key[last]
@@ -721,13 +661,7 @@ func (h *keyHeap) pop() {
 	}
 }
 
-// saveInto copies the heap's slots into dst, reusing dst's slices.
-func (h *keyHeap) saveInto(dst *keyHeap) {
-	dst.idx = append(dst.idx[:0], h.idx...)
-	dst.key = append(dst.key[:0], h.key...)
-}
-
-func (h *keyHeap) down(i int) {
+func (h *coreHeap) down(i int) {
 	n := len(h.idx)
 	for {
 		l := 2*i + 1
@@ -745,29 +679,4 @@ func (h *keyHeap) down(i int) {
 		h.key[i], h.key[m] = h.key[m], h.key[i]
 		i = m
 	}
-}
-
-// coreHeap binds a keyHeap to live cores whose clocks supply the keys.
-type coreHeap struct {
-	keyHeap
-	cores []*cpu.Core
-}
-
-// init (re)builds the heap over cores, reusing its slices across pooled
-// runs.
-func (h *coreHeap) init(cores []*cpu.Core) {
-	h.cores = cores
-	h.reset(len(cores))
-	for i := range h.idx {
-		h.key[i] = cores[i].Cycle()
-	}
-	for i := len(h.idx)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// fix restores heap order after the root's key grew (a core's clock only
-// moves forward).
-func (h *coreHeap) fix() {
-	h.fixKey(h.cores[h.idx[0]].Cycle())
 }

@@ -251,38 +251,29 @@ func TestRunnerSteadyStateZeroAlloc(t *testing.T) {
 		{"tifs-unbounded", TIFS(core.UnboundedConfig())},
 		{"perfect", Perfect()},
 	} {
-		// Neither parallel tier may reintroduce per-run allocations: the
-		// intra rings and producers, and the speculative tier's record
-		// buffers, tees, checkpoint, and verifier heap are all pooled in
-		// the Runner. (Speculative runs here are chaos-free; a rollback
-		// may allocate while snapshots grow to their high-water marks.)
+		// The intra tier may not reintroduce per-run allocations: its
+		// rings, producers, and tasks are all pooled in the Runner.
 		for _, intra := range []int{0, 4} {
-			for _, speculative := range []int{0, 2} {
-				name := tc.name
-				if intra > 0 {
-					name += "/intra-4"
-				}
-				if speculative > 0 {
-					name += "/spec"
-				}
-				t.Run(name, func(t *testing.T) {
-					r := NewRunner()
-					cfg := Config{
-						EventsPerCore:    12_000,
-						WarmupEvents:     3_000,
-						Mechanism:        tc.mech,
-						IntraParallelism: intra,
-						Speculative:      speculative,
-					}
-					r.Run(spec, workload.ScaleSmall, cfg) // reach steady-state capacity
-					allocs := testing.AllocsPerRun(2, func() {
-						r.Run(spec, workload.ScaleSmall, cfg)
-					})
-					if allocs != 0 {
-						t.Errorf("steady-state run allocated %.1f times, want 0", allocs)
-					}
-				})
+			name := tc.name
+			if intra > 0 {
+				name += "/intra-4"
 			}
+			t.Run(name, func(t *testing.T) {
+				r := NewRunner()
+				cfg := Config{
+					EventsPerCore:    12_000,
+					WarmupEvents:     3_000,
+					Mechanism:        tc.mech,
+					IntraParallelism: intra,
+				}
+				r.Run(spec, workload.ScaleSmall, cfg) // reach steady-state capacity
+				allocs := testing.AllocsPerRun(2, func() {
+					r.Run(spec, workload.ScaleSmall, cfg)
+				})
+				if allocs != 0 {
+					t.Errorf("steady-state run allocated %.1f times, want 0", allocs)
+				}
+			})
 		}
 	}
 }

@@ -110,13 +110,6 @@ type JobRequest struct {
 	// it is deliberately excluded from the canonical key: submissions
 	// differing only here collapse onto one job.
 	IntraParallelism int `json:"intra_parallelism,omitempty"`
-
-	// Speculative engages the speculative merge tier inside each
-	// simulation (>= 2 runs a predict/verify/commit worker ahead of
-	// the merge thread; 0/1 = serial). Like IntraParallelism it never
-	// changes output bytes, so it too is excluded from the canonical
-	// key.
-	Speculative int `json:"speculative,omitempty"`
 }
 
 // Event is one progress notification on a job's stream.
@@ -406,9 +399,6 @@ func canonicalize(req JobRequest) (JobRequest, workload.Scale, string, error) {
 	if req.IntraParallelism < 0 {
 		req.IntraParallelism = 0
 	}
-	if req.Speculative < 0 {
-		req.Speculative = 0
-	}
 
 	if req.Workload != "" || req.Mechanism != "" {
 		// Simulation form.
@@ -619,7 +609,6 @@ func (s *Service) runSweep(j *job) (string, error) {
 		Context: s.ctx, Scale: j.scale, Events: j.req.Events, Cores: j.req.Cores,
 		Workloads: j.req.Workloads, Engine: s.eng,
 		IntraParallelism: j.req.IntraParallelism,
-		Speculative:      j.req.Speculative,
 	}
 	return experiments.RunSelected(j.req.Experiments, o, func(id string, done bool) {
 		if done {
@@ -642,14 +631,12 @@ func (s *Service) runSimulation(j *job) (string, error) {
 	jobs := []engine.Job{{Spec: spec, Scale: j.scale, Config: sim.Config{
 		Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: mech,
 		IntraParallelism: j.req.IntraParallelism,
-		Speculative:      j.req.Speculative,
 	}}}
 	withBaseline := j.req.Baseline && mech.Kind != sim.KindNone
 	if withBaseline {
 		jobs = append(jobs, engine.Job{Spec: spec, Scale: j.scale, Config: sim.Config{
 			Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: sim.Baseline(),
 			IntraParallelism: j.req.IntraParallelism,
-			Speculative:      j.req.Speculative,
 		}})
 	}
 	results := s.eng.RunAll(s.ctx, jobs)

@@ -77,8 +77,9 @@ const (
 	TrafficIMLRead
 	TrafficIMLWrite
 	// TrafficData stands in for data-side reads and writebacks, which the
-	// simulator accounts synthetically (see DESIGN.md §2); it forms part
-	// of the Fig. 12 baseline-traffic denominator.
+	// simulator accounts synthetically (see the README's "Substitutions"
+	// section); it forms part of the Fig. 12 baseline-traffic
+	// denominator.
 	TrafficData
 	numTrafficKinds
 )
@@ -220,37 +221,6 @@ func (u *L2) Traffic() Traffic { return u.traffic }
 
 // Stats returns a copy of the activity counters.
 func (u *L2) Stats() Stats { return u.stats }
-
-// Snapshot checkpoints the uncore's full mutable state — cache
-// contents, bank/memory pipeline occupancy, ledger, and counters — for
-// the simulator's speculative merge tier. Save reuses the snapshot's
-// buffers, so pooled snapshots stop allocating at steady state.
-type Snapshot struct {
-	cache    cache.Snapshot
-	bankFree []uint64
-	memFree  uint64
-	traffic  Traffic
-	stats    Stats
-}
-
-// Save copies the uncore's current state into s.
-func (u *L2) Save(s *Snapshot) {
-	u.cache.Save(&s.cache)
-	s.bankFree = append(s.bankFree[:0], u.bankFree...)
-	s.memFree = u.memFree
-	s.traffic = u.traffic
-	s.stats = u.stats
-}
-
-// Restore rewinds the uncore to the state captured by Save. The
-// snapshot must come from an uncore of the same configuration.
-func (u *L2) Restore(s *Snapshot) {
-	u.cache.Restore(&s.cache)
-	copy(u.bankFree, s.bankFree)
-	u.memFree = s.memFree
-	u.traffic = s.traffic
-	u.stats = s.stats
-}
 
 // bank maps a block to its bank by low-order block bits, as banked L2s
 // interleave.

@@ -150,7 +150,7 @@ type Spec struct {
 	// data-side and dependency stalls in the timing model. It is
 	// calibrated so the next-line baseline's front-end stall share
 	// approximates the paper's reported 25-40% for OLTP and the small
-	// share for DSS (see DESIGN.md §2).
+	// share for DSS (see the README's "Substitutions" section).
 	BackendCPI float64
 }
 

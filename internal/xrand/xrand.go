@@ -68,13 +68,6 @@ func (r *Rand) SeedFromString(name string) {
 	r.Seed(h.Sum64())
 }
 
-// State returns the generator's internal state for checkpointing.
-// Restoring it with SetState resumes the exact output sequence.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState restores a state previously captured with State.
-func (r *Rand) SetState(s [4]uint64) { r.s = s }
-
 // Fork derives an independent generator from this one, labeled by name.
 // Forking does not disturb the parent's future output beyond consuming one
 // draw.

@@ -15,8 +15,8 @@
 //   - every evaluation experiment as a named runner
 //     (Experiments, RunExperiment).
 //
-// See examples/quickstart for a three-call tour, and DESIGN.md for the
-// system inventory and the substitutions made for the paper's
+// See examples/quickstart for a three-call tour, and the README's
+// "Substitutions" section for what stands in for the paper's
 // full-system trace infrastructure.
 package tifs
 
@@ -123,12 +123,6 @@ type (
 	// TIFSConfig parameterizes the TIFS hardware (IML size,
 	// virtualization, SVB, lookahead, end-of-stream, failure injection).
 	TIFSConfig = core.Config
-	// SpecStats is the speculative merge tier's telemetry
-	// (SimResult.Spec): windows predicted, committed, and rolled back,
-	// plus whether the fallback latched speculation off mid-run. It is
-	// execution telemetry only — never part of reports, goldens, or
-	// stored result bytes.
-	SpecStats = sim.SpecStats
 )
 
 // Mechanism constructors.
