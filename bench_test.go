@@ -94,26 +94,33 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkSimulatorThroughputPooled is BenchmarkSimulatorThroughput
 // through a reused SimRunner — the configuration the experiment engine
-// actually runs. Steady-state iterations perform zero heap allocations
-// (the -benchmem columns are the regression signal for that).
+// actually runs — once per mechanism family: the next-line baseline,
+// FDIP (the one prefetcher that reads the fetch-target queue), and
+// TIFS. Steady-state iterations perform zero heap allocations (the
+// -benchmem columns are the regression signal for that).
 func BenchmarkSimulatorThroughputPooled(b *testing.B) {
 	spec, err := tifs.WorkloadByName("OLTP-DB2")
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := tifs.NewSimRunner()
-	cfg := tifs.SimConfig{
-		EventsPerCore: 50_000,
-		Mechanism:     tifs.NextLineOnly(),
+	for _, name := range []string{"next-line", "fdip", "tifs-virtualized"} {
+		mech, err := tifs.MechanismByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			r := tifs.NewSimRunner()
+			cfg := tifs.SimConfig{EventsPerCore: 50_000, Mechanism: mech}
+			r.Run(spec, tifs.ScaleSmall, cfg) // warm the pools
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				events += r.Run(spec, tifs.ScaleSmall, cfg).TotalEvents
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
-	r.Run(spec, tifs.ScaleSmall, cfg) // warm the pools
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		events += r.Run(spec, tifs.ScaleSmall, cfg).TotalEvents
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkSimulatorIntraParallel measures one simulation at each

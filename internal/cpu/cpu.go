@@ -11,6 +11,8 @@
 package cpu
 
 import (
+	"math"
+
 	"tifs/internal/branch"
 	"tifs/internal/cache"
 	"tifs/internal/isa"
@@ -131,38 +133,141 @@ func (s Stats) FetchStallShare() float64 {
 // nlCapacity is the next-line buffer size in blocks.
 const nlCapacity = 64
 
+// nlBuckets is the number of hash chains indexing the next-line buffer;
+// a block's chain is its low 8 block-number bits.
+const nlBuckets = 256
+
+// nlBuffer is the fetch unit's next-line prefetch buffer: a set of at
+// most nlCapacity blocks, each with the cycle its fill arrives. An
+// insert into a full buffer evicts the earliest-inserted live entry.
+// Entries live in slots 1..nlCapacity; slot 0 is the nil link of the
+// hash chains and the sentinel of the insertion-order list, so the zero
+// value is an empty buffer. Each entry sits on its block's hash chain
+// (lookup) and on the insertion-order list (victim choice), which makes
+// find, remove and insert O(1): with 64 entries over 256 chains a chain
+// walk is almost always zero or one step.
+type nlBuffer struct {
+	block [nlCapacity + 1]isa.Block
+	ready [nlCapacity + 1]uint64
+	// bucket holds each chain's first slot and chain the next slot in
+	// the same chain; removed slots are stacked on free through chain.
+	bucket [nlBuckets]uint8
+	chain  [nlCapacity + 1]uint8
+	free   uint8
+	// older and newer link the live slots in insertion order through
+	// slot 0: newer[0] is the oldest entry, older[0] the newest.
+	older, newer [nlCapacity + 1]uint8
+	// live counts entries; used counts slots handed out since reset.
+	live, used uint8
+}
+
+// find returns the slot holding b, or 0.
+func (nl *nlBuffer) find(b isa.Block) uint8 {
+	for s := nl.bucket[uint8(b)]; s != 0; s = nl.chain[s] {
+		if nl.block[s] == b {
+			return s
+		}
+	}
+	return 0
+}
+
+// contains reports whether b is in the buffer.
+func (nl *nlBuffer) contains(b isa.Block) bool { return nl.find(b) != 0 }
+
+// take removes b and returns its ready cycle, reporting whether it was
+// present.
+func (nl *nlBuffer) take(b isa.Block) (uint64, bool) {
+	s := nl.find(b)
+	if s == 0 {
+		return 0, false
+	}
+	ready := nl.ready[s]
+	nl.remove(s)
+	return ready, true
+}
+
+// remove unlinks live slot s from its chain and the order list and
+// frees it.
+func (nl *nlBuffer) remove(s uint8) {
+	p := &nl.bucket[uint8(nl.block[s])]
+	for *p != s {
+		p = &nl.chain[*p]
+	}
+	*p = nl.chain[s]
+	nl.newer[nl.older[s]] = nl.newer[s]
+	nl.older[nl.newer[s]] = nl.older[s]
+	nl.chain[s] = nl.free
+	nl.free = s
+	nl.live--
+}
+
+// insert adds b, which must be absent, evicting the earliest-inserted
+// entry when the buffer is full.
+func (nl *nlBuffer) insert(b isa.Block, ready uint64) {
+	if nl.live == nlCapacity {
+		nl.remove(nl.newer[0])
+	}
+	s := nl.free
+	if s != 0 {
+		nl.free = nl.chain[s]
+	} else {
+		nl.used++
+		s = nl.used
+	}
+	nl.block[s] = b
+	nl.ready[s] = ready
+	nl.chain[s] = nl.bucket[uint8(b)]
+	nl.bucket[uint8(b)] = s
+	newest := nl.older[0]
+	nl.newer[newest] = s
+	nl.older[s] = newest
+	nl.newer[s] = 0
+	nl.older[0] = s
+	nl.live++
+}
+
+// nextOnly adapts a source without NextBatch to isa.BatchSource, one
+// Next call per event.
+type nextOnly struct{ src isa.EventSource }
+
+// NextBatch implements isa.BatchSource.
+func (n *nextOnly) NextBatch(dst []isa.BlockEvent) int {
+	for i := range dst {
+		ev, ok := n.src.Next()
+		if !ok {
+			return i
+		}
+		dst[i] = ev
+	}
+	return len(dst)
+}
+
 // Core is one simulated core bound to its event source, prefetcher, and
 // the shared uncore.
 type Core struct {
 	ID  int
 	cfg Config
 
-	l1        *cache.Cache
-	pred      *branch.Hybrid
-	pf        prefetch.Prefetcher
-	pfNone    bool // fast path: skip prefetcher dispatch entirely
-	un        *uncore.L2
-	src       isa.EventSource
-	batchSrc  isa.BatchSource // non-nil when src supports batch refills
-	srcBudget uint64          // events still allowed from src (if budgeted)
-	budgeted  bool
+	l1     *cache.Cache
+	pred   *branch.Hybrid
+	pf     prefetch.Prefetcher
+	pfNone bool // fast path: skip prefetcher dispatch entirely
+	un     *uncore.L2
 
-	// window is the fetch-target queue, consumed from head; events are
-	// appended at the tail and the slice is compacted only when head
-	// reaches WindowEvents, so the per-step cost is O(1) instead of an
-	// O(window) memmove.
+	// src refills the fetch-target queue; a source without NextBatch is
+	// wrapped in adapt. srcLeft counts the events still allowed from it
+	// (the EventBudget, or unlimited) and drops to 0 once it runs dry.
+	src     isa.BatchSource
+	adapt   nextOnly
+	srcLeft uint64
+
+	// window is the fetch-target queue, consumed from head. Whenever
+	// fewer than WindowEvents events remain, fillWindow moves them to
+	// the front and tops the queue up to capacity in one batch.
 	window []isa.BlockEvent
 	head   int
 
-	// Next-line prefetch buffer in struct-of-arrays layout: membership
-	// scans touch only the densely packed block numbers. nlCount is an
-	// exact counting filter over low block bits: a zero bucket proves
-	// absence, so the common no-match lookup skips the scan.
-	nlBlock []isa.Block
-	nlReady []uint64
-	nlUsed  []uint64
-	nlCount [256]uint8
-	nlSeq   uint64
+	nl nlBuffer
 
 	execAcc float64 // fractional execution cycles
 	execCPI float64 // hoisted 1/Width + BackendCPI (same expression tree)
@@ -180,23 +285,30 @@ func New(id int, cfg Config, src isa.EventSource, pf prefetch.Prefetcher, un *un
 		pf = prefetch.None{}
 	}
 	c := &Core{
-		ID:        id,
-		cfg:       cfg,
-		l1:        cache.New(cfg.L1I),
-		pred:      branch.NewHybrid(cfg.PredictorEntries),
-		un:        un,
-		src:       src,
-		srcBudget: cfg.EventBudget,
-		budgeted:  cfg.EventBudget > 0,
-		window:    make([]isa.BlockEvent, 0, 2*cfg.WindowEvents),
-		nlBlock:   make([]isa.Block, 0, nlCapacity),
-		nlReady:   make([]uint64, 0, nlCapacity),
-		nlUsed:    make([]uint64, 0, nlCapacity),
-		execCPI:   1.0/float64(cfg.Width) + cfg.BackendCPI,
+		ID:      id,
+		cfg:     cfg,
+		l1:      cache.New(cfg.L1I),
+		pred:    branch.NewHybrid(cfg.PredictorEntries),
+		un:      un,
+		window:  make([]isa.BlockEvent, 0, 2*cfg.WindowEvents),
+		execCPI: 1.0/float64(cfg.Width) + cfg.BackendCPI,
 	}
-	c.batchSrc, _ = src.(isa.BatchSource)
+	c.bindSource(src, cfg.EventBudget)
 	c.SetPrefetcher(pf)
 	return c
+}
+
+// bindSource attaches the event source and its budget (0 = unlimited).
+func (c *Core) bindSource(src isa.EventSource, budget uint64) {
+	c.adapt = nextOnly{src}
+	c.src = &c.adapt
+	if bs, ok := src.(isa.BatchSource); ok {
+		c.src = bs
+	}
+	c.srcLeft = budget
+	if budget == 0 {
+		c.srcLeft = math.MaxUint64
+	}
 }
 
 // Reset restores the core to the state New(id, cfg, src, nil, un) would
@@ -217,21 +329,14 @@ func (c *Core) Reset(cfg Config, src isa.EventSource) {
 		c.pred = branch.NewHybrid(cfg.PredictorEntries)
 	}
 	c.cfg = cfg
-	c.src = src
-	c.batchSrc, _ = src.(isa.BatchSource)
-	c.srcBudget = cfg.EventBudget
-	c.budgeted = cfg.EventBudget > 0
+	c.bindSource(src, cfg.EventBudget)
 	if cap(c.window) < 2*cfg.WindowEvents {
 		c.window = make([]isa.BlockEvent, 0, 2*cfg.WindowEvents)
 	} else {
 		c.window = c.window[:0]
 	}
 	c.head = 0
-	c.nlBlock = c.nlBlock[:0]
-	c.nlReady = c.nlReady[:0]
-	c.nlUsed = c.nlUsed[:0]
-	clear(c.nlCount[:])
-	c.nlSeq = 0
+	c.nl = nlBuffer{}
 	c.execAcc = 0
 	c.execCPI = 1.0/float64(cfg.Width) + cfg.BackendCPI
 	c.dataAcc = 0
@@ -249,6 +354,9 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 
 // Done reports whether the event source is exhausted.
 func (c *Core) Done() bool { return c.done }
+
+// Events returns how many events the core has executed.
+func (c *Core) Events() uint64 { return c.stats.Events }
 
 // Stats returns a copy of the counters (Cycles kept current).
 func (c *Core) Stats() Stats {
@@ -271,134 +379,38 @@ func (c *Core) SetPrefetcher(pf prefetch.Prefetcher) {
 	_, c.pfNone = pf.(prefetch.None)
 }
 
-// fillWindow tops up the fetch-target queue, compacting the consumed
-// prefix only when it has grown to a full window's worth of slots.
-//
-// With no prefetcher attached nothing observes the window contents, so
-// the queue refills lazily in full batches through isa.BatchSource when
-// available: one dynamic dispatch per window instead of per event, with
-// events written in place. Prefetchers get the original per-event refill
-// so OnWindow always sees a full lookahead window.
+// fillWindow keeps at least WindowEvents events queued while the
+// source lasts. When fewer remain, it moves them to the front of the
+// queue and tops it up to capacity with one NextBatch call, so event
+// generation costs one dynamic dispatch per refill rather than per
+// event. Step shows OnWindow only the first WindowEvents queued events,
+// however many more are buffered behind them.
 func (c *Core) fillWindow() {
-	if c.head >= c.cfg.WindowEvents {
-		n := copy(c.window, c.window[c.head:])
-		c.window = c.window[:n]
-		c.head = 0
-	}
-	if c.pfNone && c.batchSrc != nil {
-		if c.head < len(c.window) {
-			return // still events queued; nobody needs a full window
-		}
-		want := c.cfg.WindowEvents
-		if c.budgeted {
-			if c.srcBudget == 0 {
-				return
-			}
-			if uint64(want) > c.srcBudget {
-				want = int(c.srcBudget)
-			}
-		}
-		base := len(c.window)
-		c.window = c.window[:base+want]
-		n := c.batchSrc.NextBatch(c.window[base:])
-		c.window = c.window[:base+n]
-		if c.budgeted {
-			c.srcBudget -= uint64(n)
-		}
-		if n < want {
-			c.srcBudget = 0
-			c.budgeted = true
-		}
+	if len(c.window)-c.head >= c.cfg.WindowEvents || c.srcLeft == 0 {
 		return
 	}
-	for len(c.window)-c.head < c.cfg.WindowEvents {
-		if c.budgeted {
-			if c.srcBudget == 0 {
-				return
-			}
-			c.srcBudget--
-		}
-		ev, ok := c.src.Next()
-		if !ok {
-			c.srcBudget = 0
-			return
-		}
-		c.window = append(c.window, ev)
+	n := copy(c.window, c.window[c.head:])
+	c.head = 0
+	want := cap(c.window) - n
+	if uint64(want) > c.srcLeft {
+		want = int(c.srcLeft)
 	}
-}
-
-// nlFind returns the buffer index holding b, or -1. It scans backwards:
-// probed blocks are almost always the ones appended moments ago, so the
-// match sits near the tail and the scan is a handful of iterations.
-func (c *Core) nlFind(b isa.Block) int {
-	if c.nlCount[uint64(b)&255] == 0 {
-		return -1
+	got := c.src.NextBatch(c.window[n : n+want])
+	c.window = c.window[:n+got]
+	c.srcLeft -= uint64(got)
+	if got < want {
+		c.srcLeft = 0
 	}
-	for i := len(c.nlBlock) - 1; i >= 0; i-- {
-		if c.nlBlock[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-// nlRemove deletes entry i (order is irrelevant; replacement is by age
-// stamp, so swap-delete is safe).
-func (c *Core) nlRemove(i int) {
-	c.nlCount[uint64(c.nlBlock[i])&255]--
-	last := len(c.nlBlock) - 1
-	c.nlBlock[i] = c.nlBlock[last]
-	c.nlReady[i] = c.nlReady[last]
-	c.nlUsed[i] = c.nlUsed[last]
-	c.nlBlock = c.nlBlock[:last]
-	c.nlReady = c.nlReady[:last]
-	c.nlUsed = c.nlUsed[:last]
-}
-
-// nlDrop removes a stale next-line copy superseded by a prefetcher hit.
-func (c *Core) nlDrop(b isa.Block) {
-	if i := c.nlFind(b); i >= 0 {
-		c.nlRemove(i)
-	}
-}
-
-// nlProbe checks the next-line buffer, consuming on hit.
-func (c *Core) nlProbe(b isa.Block) (uint64, bool) {
-	i := c.nlFind(b)
-	if i < 0 {
-		return 0, false
-	}
-	ready := c.nlReady[i]
-	c.nlRemove(i)
-	return ready, true
 }
 
 // nlIssue starts next-line prefetches for the blocks after b.
 func (c *Core) nlIssue(b isa.Block, now uint64) {
 	for d := 1; d <= c.cfg.NextLineDepth; d++ {
 		nb := b + isa.Block(d)
-		if c.l1.Contains(nb) || c.nlFind(nb) >= 0 {
+		if c.l1.Contains(nb) || c.nl.contains(nb) {
 			continue
 		}
-		ready := c.un.ReadBlock(c.ID, nb, now, uncore.TrafficNextLine)
-		c.nlSeq++
-		c.nlCount[uint64(nb)&255]++
-		if len(c.nlBlock) < nlCapacity {
-			c.nlBlock = append(c.nlBlock, nb)
-			c.nlReady = append(c.nlReady, ready)
-			c.nlUsed = append(c.nlUsed, c.nlSeq)
-			continue
-		}
-		oldest := 0
-		for i := 1; i < len(c.nlUsed); i++ {
-			if c.nlUsed[i] < c.nlUsed[oldest] {
-				oldest = i
-			}
-		}
-		c.nlCount[uint64(c.nlBlock[oldest])&255]--
-		c.nlBlock[oldest] = nb
-		c.nlReady[oldest] = ready
-		c.nlUsed[oldest] = c.nlSeq
+		c.nl.insert(nb, c.un.ReadBlock(c.ID, nb, now, uncore.TrafficNextLine))
 	}
 }
 
@@ -431,7 +443,8 @@ func (c *Core) Step() bool {
 	}
 	ev := &c.window[c.head]
 	if !c.pfNone {
-		c.pf.OnWindow(c.window[c.head:], c.cycle)
+		end := min(c.head+c.cfg.WindowEvents, len(c.window))
+		c.pf.OnWindow(c.window[c.head:end], c.cycle)
 	}
 
 	if ev.Serializing {
@@ -461,8 +474,8 @@ func (c *Core) Step() bool {
 				outcome = prefetch.FetchPrefetchHit
 				c.stats.PrefetchHits++
 				c.stall(ready, ev.Serializing, &c.stats.StallPrefetch)
-				c.nlDrop(b)
-			} else if ready, ok := c.nlProbe(b); ok {
+				c.nl.take(b) // drop the superseded next-line copy
+			} else if ready, ok := c.nl.take(b); ok {
 				if ready <= c.cycle {
 					// Arrived in time: counted as an L1 hit (Section 6.1).
 					outcome = prefetch.FetchNextLineHit
@@ -518,7 +531,7 @@ func (c *Core) Step() bool {
 	}
 	c.stats.Events++
 	c.stats.Instrs += uint64(ev.Instrs)
-	c.head++ // consume; compaction is amortized in fillWindow
+	c.head++ // consume; compaction happens at the next refill
 	return true
 }
 

@@ -196,8 +196,80 @@ func TestWindowExposedToPrefetcher(t *testing.T) {
 	c, _ := newCore(t, seqSource(0x7000, 100), pf)
 	for c.Step() {
 	}
-	if seen < 48 {
+	if seen != 48 {
 		t.Errorf("max window seen = %d, want fetch-target-queue depth 48", seen)
+	}
+}
+
+// nextOnlySource hides a SliceSource's NextBatch, so the core refills
+// its fetch-target queue one Next call at a time.
+type nextOnlySource struct{ src *isa.SliceSource }
+
+func (s nextOnlySource) Next() (isa.BlockEvent, bool) { return s.src.Next() }
+
+// windowRecorder keeps a copy of every window the core exposes.
+type windowRecorder struct {
+	prefetch.None
+	windows [][]isa.BlockEvent
+}
+
+func (p *windowRecorder) OnWindow(w []isa.BlockEvent, now uint64) {
+	p.windows = append(p.windows, append([]isa.BlockEvent(nil), w...))
+}
+
+// TestFetchQueueWindowSources feeds the same events through a batch
+// source and through a Next-only one. At every step both must expose
+// exactly the next WindowEvents events (fewer only as the stream or the
+// event budget runs out), which is the window a per-event refill shows.
+func TestFetchQueueWindowSources(t *testing.T) {
+	var evs []isa.BlockEvent
+	for i := 0; i < 300; i++ {
+		pc := isa.Addr(0x8000 + 0x40*(i*37%91))
+		evs = append(evs, isa.BlockEvent{PC: pc, Instrs: 1 + i%20, Kind: isa.CTBranch, Taken: i%3 == 0, Target: pc, Serializing: i%41 == 0})
+	}
+	for _, tc := range []struct {
+		window int
+		budget uint64
+	}{{0, 0}, {48, 250}, {5, 0}, {7, 101}} {
+		run := func(src isa.EventSource) (*windowRecorder, Stats) {
+			pf := &windowRecorder{}
+			c := New(0, Config{BackendCPI: 0.4, WindowEvents: tc.window, EventBudget: tc.budget}, src, pf, uncore.New(uncore.Config{}))
+			for c.Step() {
+			}
+			return pf, c.Stats()
+		}
+		batch, batchStats := run(isa.NewSliceSource(evs))
+		next, nextStats := run(nextOnlySource{isa.NewSliceSource(evs)})
+		depth := tc.window
+		if depth == 0 {
+			depth = 48
+		}
+		total := len(evs)
+		if tc.budget > 0 {
+			total = int(tc.budget)
+		}
+		if len(batch.windows) != total || len(next.windows) != total {
+			t.Fatalf("window %d budget %d: %d and %d windows, want %d",
+				tc.window, tc.budget, len(batch.windows), len(next.windows), total)
+		}
+		for k := 0; k < total; k++ {
+			want := evs[k:min(k+depth, total)]
+			for name, got := range map[string][]isa.BlockEvent{"batch": batch.windows[k], "next-only": next.windows[k]} {
+				if len(got) != len(want) {
+					t.Fatalf("window %d budget %d step %d: %s source shows %d events, want %d",
+						tc.window, tc.budget, k, name, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("window %d budget %d step %d: %s source event %d = %+v, want %+v",
+							tc.window, tc.budget, k, name, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if batchStats != nextStats {
+			t.Errorf("window %d budget %d: stats differ:\nbatch     %+v\nnext-only %+v", tc.window, tc.budget, batchStats, nextStats)
+		}
 	}
 }
 

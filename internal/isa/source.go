@@ -13,9 +13,9 @@ type EventSource interface {
 // BatchSource is an optional EventSource extension: NextBatch fills dst
 // with up to len(dst) events and returns how many were written (short
 // only when the source is exhausted). Consumers that do not need
-// per-event pacing (the next-line-only fetch path, trace extraction)
-// use it to amortize interface dispatch and event copies across a whole
-// buffer refill.
+// per-event pacing (the fetch unit's fetch-target queue, trace
+// extraction) use it to amortize interface dispatch and event copies
+// across a whole buffer refill.
 type BatchSource interface {
 	NextBatch(dst []BlockEvent) int
 }

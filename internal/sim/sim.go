@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"tifs/internal/core"
@@ -86,11 +87,28 @@ func (m Mechanism) Name() string {
 	case KindPerfect:
 		return "perfect"
 	case KindProb:
-		return fmt.Sprintf("prob-%.0f%%", 100*m.Coverage)
+		// A whole-percent table keeps Runner.Run, which labels every
+		// result, allocation-free. %.0f rounds half to even like
+		// math.RoundToEven, and prints a sign for negative values,
+		// -0 included, which the table lacks.
+		pct := 100 * m.Coverage
+		if pct >= 0 && pct <= 100 && !math.Signbit(pct) {
+			return probNames[int(math.RoundToEven(pct))]
+		}
+		return fmt.Sprintf("prob-%.0f%%", pct)
 	default:
 		return m.Kind
 	}
 }
+
+// probNames holds the names of the whole-percent probabilistic
+// mechanisms, "prob-0%" through "prob-100%".
+var probNames = func() (names [101]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("prob-%d%%", i)
+	}
+	return names
+}()
 
 // Config describes one simulation.
 type Config struct {
@@ -482,14 +500,16 @@ func (r *Runner) mergeSerial(warmupEvents uint64, nCores int) {
 			continue
 		}
 		h.fix() // the stepped core's clock only moved forward
-		r.noteWarm(next, warmupEvents, nCores)
+		if r.warmedCount < nCores {
+			r.noteWarm(next, warmupEvents, nCores)
+		}
 	}
 }
 
 // noteWarm snapshots a core's counters the first time it crosses its
 // warmup boundary so only steady-state behaviour is measured.
 func (r *Runner) noteWarm(next int, warmupEvents uint64, nCores int) {
-	if r.warmed[next] || r.cores[next].Stats().Events < warmupEvents {
+	if r.warmed[next] || r.cores[next].Events() < warmupEvents {
 		return
 	}
 	r.warmed[next] = true

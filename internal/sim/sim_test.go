@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -144,6 +146,22 @@ func TestMechanismNames(t *testing.T) {
 	}
 }
 
+// TestProbabilisticNamesMatchFormat pins the probabilistic names to the
+// bytes fmt's %.0f prints (Fig. 1 shows them), across whole, halfway,
+// out-of-range and signed coverages.
+func TestProbabilisticNamesMatchFormat(t *testing.T) {
+	covs := []float64{0, math.Copysign(0, -1), -0.001, 0.005, 0.015, 0.025, 0.125, 0.995, 1, 1.004, 1.006, 2.5,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i := -20; i <= 2100; i++ {
+		covs = append(covs, float64(i)/2000)
+	}
+	for _, cov := range covs {
+		if got, want := Probabilistic(cov).Name(), fmt.Sprintf("prob-%.0f%%", 100*cov); got != want {
+			t.Errorf("coverage %v: Name = %q, want %q", cov, got, want)
+		}
+	}
+}
+
 // testMechanisms is every mechanism kind, for reuse-correctness checks.
 func testMechanisms() map[string]Mechanism {
 	return map[string]Mechanism{
@@ -235,7 +253,7 @@ func TestRunnerDistinguishesModifiedSpecs(t *testing.T) {
 
 // TestRunnerSteadyStateZeroAlloc verifies the acceptance criterion of
 // the pooled path: once warmed, a repeated simulation run performs zero
-// heap allocations for the paper's headline mechanisms.
+// heap allocations for every mechanism kind.
 func TestRunnerSteadyStateZeroAlloc(t *testing.T) {
 	spec, ok := workload.ByName("OLTP-DB2")
 	if !ok {
@@ -246,10 +264,13 @@ func TestRunnerSteadyStateZeroAlloc(t *testing.T) {
 		mech Mechanism
 	}{
 		{"baseline", Baseline()},
+		{"fdip", FDIP()},
+		{"discontinuity", Discontinuity()},
 		{"tifs-dedicated", TIFS(core.DedicatedConfig())},
 		{"tifs-virtualized", TIFS(core.VirtualizedConfig())},
 		{"tifs-unbounded", TIFS(core.UnboundedConfig())},
 		{"perfect", Perfect()},
+		{"probabilistic", Probabilistic(0.6)},
 	} {
 		// The intra tier may not reintroduce per-run allocations: its
 		// rings, producers, and tasks are all pooled in the Runner.
