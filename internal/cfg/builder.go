@@ -43,9 +43,18 @@ type FuncSpec struct {
 // Generation is deterministic for a given RNG seed and call sequence.
 type Builder struct {
 	rng     *xrand.Rand
-	funcs   []*Function
+	blocks  []BasicBlock // the program table under construction
+	funcs   []Function
+	calls   []pendingCall
 	regions []*regionState
 	built   bool
+}
+
+// pendingCall is a generated call site that Build resolves: the table
+// entry of the calling block and its candidate callees.
+type pendingCall struct {
+	block   int32
+	callees []FuncID
 }
 
 type regionState struct {
@@ -81,19 +90,45 @@ func (b *Builder) AddFunc(r Region, name string, spec FuncSpec) FuncID {
 	}
 	reg := b.regions[r.idx]
 	id := FuncID(len(b.funcs))
-	f := b.generate(id, name, reg, spec)
-	b.funcs = append(b.funcs, f)
+	b.funcs = append(b.funcs, b.generate(name, reg, spec))
 	return id
 }
 
-// Build finalizes and validates the program. The builder must not be used
-// afterwards.
+// Build finalizes and validates the program: it copies the table to its
+// exact size and resolves every successor to its PC, and every call site
+// to its callee's entry or, for an indirect site, to an entry of
+// Program.Calls. The builder must not be used afterwards.
 func (b *Builder) Build() (*Program, error) {
 	if b.built {
 		return nil, fmt.Errorf("cfg: Build called twice")
 	}
 	b.built = true
-	p := &Program{Funcs: b.funcs}
+	p := &Program{Funcs: b.funcs, Blocks: make([]BasicBlock, len(b.blocks))}
+	copy(p.Blocks, b.blocks)
+	for i := range p.Blocks {
+		if blk := &p.Blocks[i]; blk.Kind == isa.CTBranch || blk.Kind == isa.CTJump {
+			blk.Target = p.Blocks[blk.Succ].PC
+		}
+	}
+	for _, c := range b.calls {
+		for _, id := range c.callees {
+			if int(id) < 0 || int(id) >= len(p.Funcs) {
+				return nil, fmt.Errorf("cfg: call site callee %d out of range", id)
+			}
+		}
+		blk := &p.Blocks[c.block]
+		if len(c.callees) == 1 {
+			f := &p.Funcs[c.callees[0]]
+			blk.Succ, blk.Target = f.First, f.Entry
+			continue
+		}
+		blk.Indirect = true
+		blk.Succ = int32(len(p.Calls))
+		p.Calls = append(p.Calls, CallSite{
+			Callees: c.callees,
+			Zipf:    xrand.NewZipfTable(len(c.callees), calleeSkew),
+		})
+	}
 	for _, r := range b.regions {
 		r.info.Bytes = int(r.next - r.info.Base)
 		p.Regions = append(p.Regions, r.info)
@@ -114,9 +149,10 @@ func (b *Builder) MustBuild() *Program {
 	return p
 }
 
-// generate produces the structured block list for one function and lays it
-// out at the region's next address.
-func (b *Builder) generate(id FuncID, name string, reg *regionState, spec FuncSpec) *Function {
+// generate appends the structured block list for one function to the
+// table and lays it out at the region's next address. Successor indices
+// are table-wide; Build resolves their PCs.
+func (b *Builder) generate(name string, reg *regionState, spec FuncSpec) Function {
 	if spec.Instrs < 4 {
 		spec.Instrs = 4
 	}
@@ -128,15 +164,16 @@ func (b *Builder) generate(id FuncID, name string, reg *regionState, spec FuncSp
 	}
 	rng := b.rng
 
-	var blocks []*BasicBlock
+	first := int32(len(b.blocks))
 	instrs := 0
-	addBlock := func(n int, term Terminator) int {
+	addBlock := func(n int, blk BasicBlock) int32 {
 		if n < 1 {
 			n = 1
 		}
-		blocks = append(blocks, &BasicBlock{Instrs: n, Term: term})
+		blk.Instrs = int32(n)
+		b.blocks = append(b.blocks, blk)
 		instrs += n
-		return len(blocks) - 1
+		return int32(len(b.blocks) - 1)
 	}
 
 	for instrs < spec.Instrs {
@@ -146,9 +183,9 @@ func (b *Builder) generate(id FuncID, name string, reg *regionState, spec FuncSp
 		case callOK && roll < spec.CallFrac:
 			b.genCallSite(rng, spec, addBlock)
 		case roll < spec.CallFrac+spec.HammockFrac:
-			b.genHammock(rng, spec, addBlock, &blocks)
+			b.genHammock(rng, spec, addBlock)
 		case roll < spec.CallFrac+spec.HammockFrac+spec.LoopFrac:
-			b.genLoop(rng, spec, addBlock, &blocks)
+			b.genLoop(rng, spec, addBlock)
 		default:
 			// Straight-line run. Kept short: server code carries roughly
 			// one conditional branch per 8-12 instructions, which is what
@@ -158,18 +195,19 @@ func (b *Builder) generate(id FuncID, name string, reg *regionState, spec FuncSp
 			if rng.Bool(0.08) {
 				n = rng.Range(20, 48)
 			}
-			addBlock(n, Terminator{Kind: isa.CTFallthrough})
+			addBlock(n, BasicBlock{Kind: isa.CTFallthrough})
 		}
 	}
 	// Epilogue.
-	addBlock(rng.Range(1, 4), Terminator{Kind: isa.CTReturn})
+	addBlock(rng.Range(1, 4), BasicBlock{Kind: isa.CTReturn})
+	b.blocks[first].Serializing = spec.Serializing
 
 	// Lay out at the region cursor and assign PCs.
 	entry := reg.next
 	pc := entry
-	for _, blk := range blocks {
-		blk.PC = pc
-		pc = pc.Add(blk.Instrs)
+	for i := first; i < int32(len(b.blocks)); i++ {
+		b.blocks[i].PC = pc
+		pc = pc.Add(int(b.blocks[i].Instrs))
 	}
 	// Pad to the next 4-instruction boundary plus a small random gap so
 	// function entries land at varied block offsets, as in real images.
@@ -177,14 +215,13 @@ func (b *Builder) generate(id FuncID, name string, reg *regionState, spec FuncSp
 	reg.next = pc.Add(pad)
 	reg.info.Funcs++
 
-	return &Function{
-		ID:          id,
-		Name:        name,
-		Entry:       entry,
-		Blocks:      blocks,
-		Instrs:      instrs,
-		Serializing: spec.Serializing,
-		Region:      reg.info.Name,
+	return Function{
+		Name:   name,
+		Entry:  entry,
+		First:  first,
+		End:    int32(len(b.blocks)),
+		Instrs: instrs,
+		Region: reg.info.Name,
 	}
 }
 
@@ -200,7 +237,7 @@ const polymorphicSiteProb = 0.12
 const calleeSkew = 2.2
 
 // genCallSite emits a block ending in a (possibly indirect) call.
-func (b *Builder) genCallSite(rng *xrand.Rand, spec FuncSpec, addBlock func(int, Terminator) int) {
+func (b *Builder) genCallSite(rng *xrand.Rand, spec FuncSpec, addBlock func(int, BasicBlock) int32) {
 	fanout := 1
 	if spec.CalleeFanout > 1 && rng.Bool(polymorphicSiteProb) {
 		fanout = rng.Range(2, spec.CalleeFanout)
@@ -222,16 +259,13 @@ func (b *Builder) genCallSite(rng *xrand.Rand, spec FuncSpec, addBlock func(int,
 		seen[c] = true
 		callees = append(callees, c)
 	}
-	term := Terminator{Kind: isa.CTCall, Callees: callees}
-	if len(callees) > 1 {
-		term.CalleeZipf = xrand.NewZipfTable(len(callees), calleeSkew)
-	}
-	addBlock(rng.Range(2, 10), term)
+	blk := addBlock(rng.Range(2, 10), BasicBlock{Kind: isa.CTCall})
+	b.calls = append(b.calls, pendingCall{block: blk, callees: callees})
 }
 
 // genHammock emits cond + then-path + else-path; the join point is the
 // next segment generated after it.
-func (b *Builder) genHammock(rng *xrand.Rand, spec FuncSpec, addBlock func(int, Terminator) int, blocks *[]*BasicBlock) {
+func (b *Builder) genHammock(rng *xrand.Rand, spec FuncSpec, addBlock func(int, BasicBlock) int32) {
 	var prob float64
 	if rng.Bool(spec.Unpredictable) {
 		prob = 0.35 + 0.3*rng.Float64() // data-dependent, near 50/50
@@ -251,34 +285,31 @@ func (b *Builder) genHammock(rng *xrand.Rand, spec FuncSpec, addBlock func(int, 
 		elseInstrs = rng.Range(3, 20)
 	}
 
-	condIdx := addBlock(rng.Range(3, 8), Terminator{Kind: isa.CTBranch, TakenProb: prob})
+	cond := addBlock(rng.Range(3, 8), BasicBlock{Kind: isa.CTBranch, TakenProb: prob})
 	// Then-path (not-taken fallthrough): ends jumping over the else-path.
-	addBlock(thenInstrs, Terminator{Kind: isa.CTJump})
-	thenLast := len(*blocks) - 1
+	then := addBlock(thenInstrs, BasicBlock{Kind: isa.CTJump})
 	// Else-path (taken target): falls through into the join.
-	elseStart := len(*blocks)
-	addBlock(elseInstrs, Terminator{Kind: isa.CTFallthrough})
-	join := len(*blocks)
-	(*blocks)[condIdx].Term.TakenIdx = elseStart
-	(*blocks)[thenLast].Term.TakenIdx = join
+	elseStart := addBlock(elseInstrs, BasicBlock{Kind: isa.CTFallthrough})
+	b.blocks[cond].Succ = elseStart
+	b.blocks[then].Succ = elseStart + 1 // the join
 }
 
 // genLoop emits an innermost loop: body blocks with a backward branch.
-func (b *Builder) genLoop(rng *xrand.Rand, spec FuncSpec, addBlock func(int, Terminator) int, blocks *[]*BasicBlock) {
+func (b *Builder) genLoop(rng *xrand.Rand, spec FuncSpec, addBlock func(int, BasicBlock) int32) {
 	bodyBlocks := rng.Range(1, 3)
 	trip := rng.Range(2, spec.LoopTripMax)
 	contProb := float64(trip) / float64(trip+1)
-	start := len(*blocks)
+	start := int32(len(b.blocks))
 	for i := 0; i < bodyBlocks; i++ {
 		if i == bodyBlocks-1 {
-			addBlock(rng.Range(3, 12), Terminator{
+			addBlock(rng.Range(3, 12), BasicBlock{
 				Kind:      isa.CTBranch,
-				TakenIdx:  start,
+				Succ:      start,
 				TakenProb: contProb,
 				InnerLoop: true,
 			})
 		} else {
-			addBlock(rng.Range(3, 12), Terminator{Kind: isa.CTFallthrough})
+			addBlock(rng.Range(3, 12), BasicBlock{Kind: isa.CTFallthrough})
 		}
 	}
 }

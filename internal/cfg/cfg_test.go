@@ -59,16 +59,19 @@ func TestBuilderDeterministic(t *testing.T) {
 		t.Fatal("function counts differ")
 	}
 	for i := range p1.Funcs {
-		f1, f2 := p1.Funcs[i], p2.Funcs[i]
-		if f1.Entry != f2.Entry || f1.Instrs != f2.Instrs || len(f1.Blocks) != len(f2.Blocks) {
+		f1, f2 := &p1.Funcs[i], &p2.Funcs[i]
+		b1, b2 := p1.FuncBlocks(FuncID(i)), p2.FuncBlocks(FuncID(i))
+		if f1.Entry != f2.Entry || f1.Instrs != f2.Instrs || len(b1) != len(b2) {
 			t.Fatalf("func %d differs: %+v vs %+v", i, f1, f2)
 		}
-		for j := range f1.Blocks {
-			b1, b2 := f1.Blocks[j], f2.Blocks[j]
-			if b1.PC != b2.PC || b1.Instrs != b2.Instrs || b1.Term.Kind != b2.Term.Kind {
-				t.Fatalf("func %d block %d differs", i, j)
+		for j := range b1 {
+			if b1[j] != b2[j] {
+				t.Fatalf("func %d block %d differs: %+v vs %+v", i, j, b1[j], b2[j])
 			}
 		}
+	}
+	if len(p1.Calls) != len(p2.Calls) {
+		t.Fatalf("indirect call sites: %d vs %d", len(p1.Calls), len(p2.Calls))
 	}
 }
 
@@ -95,16 +98,16 @@ func TestFunctionsAreContiguousAndDisjoint(t *testing.T) {
 	prog, _, _ := buildTestProgram(t, "layout")
 	var prevEnd isa.Addr
 	var prevRegion string
-	for _, f := range prog.Funcs {
+	for id, f := range prog.Funcs {
 		if f.Region == prevRegion && f.Entry < prevEnd {
 			t.Errorf("function %s at %v overlaps previous end %v", f.Name, f.Entry, prevEnd)
 		}
 		pc := f.Entry
-		for _, b := range f.Blocks {
+		for _, b := range prog.FuncBlocks(FuncID(id)) {
 			if b.PC != pc {
 				t.Fatalf("%s: block at %v, want %v", f.Name, b.PC, pc)
 			}
-			pc = pc.Add(b.Instrs)
+			pc = pc.Add(int(b.Instrs))
 		}
 		prevEnd = pc
 		prevRegion = f.Region
@@ -145,15 +148,13 @@ func TestProgramTotals(t *testing.T) {
 
 func TestValidateCatchesBrokenPrograms(t *testing.T) {
 	mk := func() *Program {
-		f := &Function{
-			ID: 0, Name: "f", Entry: 0x100,
-			Blocks: []*BasicBlock{
-				{PC: 0x100, Instrs: 4, Term: Terminator{Kind: isa.CTFallthrough}},
-				{PC: 0x110, Instrs: 2, Term: Terminator{Kind: isa.CTReturn}},
+		return &Program{
+			Blocks: []BasicBlock{
+				{PC: 0x100, Instrs: 4, Kind: isa.CTFallthrough},
+				{PC: 0x110, Instrs: 2, Kind: isa.CTReturn},
 			},
-			Instrs: 6,
+			Funcs: []Function{{Name: "f", Entry: 0x100, First: 0, End: 2, Instrs: 6}},
 		}
-		return &Program{Funcs: []*Function{f}}
 	}
 
 	if err := mk().Validate(); err != nil {
@@ -161,31 +162,31 @@ func TestValidateCatchesBrokenPrograms(t *testing.T) {
 	}
 
 	p := mk()
-	p.Funcs[0].Blocks[0].Term = Terminator{Kind: isa.CTBranch, TakenIdx: 5}
+	p.Blocks[0].Kind, p.Blocks[0].Succ = isa.CTBranch, 5
 	if p.Validate() == nil {
 		t.Error("out-of-range branch target not caught")
 	}
 
 	p = mk()
-	p.Funcs[0].Blocks[1].PC = 0x200
+	p.Blocks[1].PC = 0x200
 	if p.Validate() == nil {
 		t.Error("non-contiguous layout not caught")
 	}
 
 	p = mk()
-	p.Funcs[0].Blocks[1].Term = Terminator{Kind: isa.CTCall, Callees: []FuncID{0}}
+	p.Blocks[1].Kind, p.Blocks[1].Succ, p.Blocks[1].Target = isa.CTCall, 0, 0x100
 	if p.Validate() == nil {
 		t.Error("trailing call not caught")
 	}
 
 	p = mk()
-	p.Funcs[0].Blocks[1].Term = Terminator{Kind: isa.CTFallthrough}
+	p.Blocks[1].Kind = isa.CTFallthrough
 	if p.Validate() == nil {
 		t.Error("fall-off-the-end not caught")
 	}
 
 	p = mk()
-	p.Funcs[0].Blocks[0].Instrs = 0
+	p.Blocks[0].Instrs = 0
 	if p.Validate() == nil {
 		t.Error("empty block not caught")
 	}
@@ -196,21 +197,56 @@ func TestValidateCatchesBrokenPrograms(t *testing.T) {
 		t.Error("entry mismatch not caught")
 	}
 
-	p = &Program{Funcs: []*Function{{Name: "empty"}}}
+	p = &Program{Funcs: []Function{{Name: "empty"}}}
 	if p.Validate() == nil {
 		t.Error("function with no blocks not caught")
 	}
 
 	p = mk()
-	p.Funcs[0].Blocks[0].Term = Terminator{Kind: isa.CTCall}
+	p.Blocks[0].Kind, p.Blocks[0].Indirect = isa.CTCall, true
+	p.Calls = []CallSite{{}}
 	if p.Validate() == nil {
 		t.Error("call without callees not caught")
 	}
 
 	p = mk()
-	p.Funcs[0].Blocks[0].Term = Terminator{Kind: isa.CTBranch, TakenIdx: 1, TakenProb: 1.5}
+	p.Blocks[0].Kind, p.Blocks[0].Indirect = isa.CTCall, true
+	p.Calls = []CallSite{{Callees: []FuncID{0, 3}, Zipf: xrand.NewZipfTable(2, 1)}}
+	if p.Validate() == nil {
+		t.Error("out-of-range callee not caught")
+	}
+
+	p = mk()
+	p.Blocks[0].Kind, p.Blocks[0].Succ, p.Blocks[0].Target = isa.CTBranch, 1, 0x110
+	p.Blocks[0].TakenProb = 1.5
 	if p.Validate() == nil {
 		t.Error("invalid TakenProb not caught")
+	}
+
+	// Table invariants: successor PCs match their entries, direct calls
+	// land on function entries, and functions tile the table.
+	p = mk()
+	p.Blocks[0].Kind, p.Blocks[0].Succ, p.Blocks[0].Target = isa.CTBranch, 1, 0x120
+	if p.Validate() == nil {
+		t.Error("branch target PC mismatch not caught")
+	}
+
+	p = mk()
+	p.Blocks[0].Kind, p.Blocks[0].Succ, p.Blocks[0].Target = isa.CTCall, 1, 0x110
+	if p.Validate() == nil {
+		t.Error("direct call into a function body not caught")
+	}
+
+	p = mk()
+	p.Funcs[0].End = 1
+	if p.Validate() == nil {
+		t.Error("table entries outside every function not caught")
+	}
+
+	p = mk()
+	p.Blocks[1].Serializing = true
+	if p.Validate() == nil {
+		t.Error("serializing non-entry block not caught")
 	}
 }
 
@@ -228,4 +264,13 @@ func TestBuildTwicePanicsOrErrors(t *testing.T) {
 		}
 	}()
 	b.AddFunc(app, "g", FuncSpec{Instrs: 20})
+}
+
+func TestBuildRejectsUnknownCallee(t *testing.T) {
+	b := NewBuilder(xrand.NewFromString("callee"))
+	app := b.Region("app", 0x1000)
+	b.AddFunc(app, "f", FuncSpec{Instrs: 200, CallFrac: 1, Callees: []FuncID{7}})
+	if _, err := b.Build(); err == nil {
+		t.Error("call to a function that does not exist accepted")
+	}
 }

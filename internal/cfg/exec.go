@@ -49,34 +49,33 @@ type ExecStats struct {
 	Transactions uint64
 }
 
-type frame struct {
-	fn     *Function
-	resume int // block index to execute after the callee returns
-}
-
-type blockRef struct {
-	fn  *Function
-	idx int
-}
-
-func (r blockRef) valid() bool { return r.fn != nil }
-
-func (r blockRef) block() *BasicBlock { return r.fn.Blocks[r.idx] }
+// noBlock marks a thread with no block to run: it awaits a transaction
+// dispatch, or, for the kernel thread, its trap has returned.
+const noBlock int32 = -1
 
 type threadState struct {
-	stack []frame
-	cur   blockRef
+	stack []int32 // return points: table indices to resume at
+	cur   int32   // table index of the next block, or noBlock
 }
 
 // Executor walks a Program emitting isa.BlockEvents. It is an infinite
-// isa.EventSource: Next always succeeds. One Executor models one core.
+// isa.EventSource and isa.BatchSource: Next always succeeds, and NextBatch
+// always fills its buffer. One Executor models one core.
+//
+// The walk reads only the program's flat block table: each thread is an
+// int32 cursor into it plus an int32 return stack, and every successor,
+// return point, root and trap handler is a table index. Executors never
+// write the program, so any number of them, on any goroutines, share one.
 type Executor struct {
-	prog *Program
-	cfg  ExecConfig
-	rng  *xrand.Rand
+	blocks []BasicBlock // the program table
+	prog   *Program
+	cfg    ExecConfig
+	rng    xrand.Rand
 
 	rootZipf *xrand.ZipfTable
-	threads  []*threadState
+	roots    []int32 // entry index of each of cfg.Roots
+	traps    []int32 // entry index of each of cfg.TrapHandlers
+	threads  []threadState
 	active   int
 
 	inTrap        bool
@@ -99,17 +98,25 @@ func NewExecutor(prog *Program, cfg ExecConfig) *Executor {
 		cfg.Threads = 1
 	}
 	x := &Executor{
+		blocks:   prog.Blocks,
 		prog:     prog,
 		cfg:      cfg,
-		rng:      xrand.NewFromString("exec/" + cfg.Seed),
 		rootZipf: xrand.NewZipfTable(len(cfg.Roots), cfg.RootSkew),
-		threads:  make([]*threadState, cfg.Threads),
+		roots:    entries(prog, cfg.Roots),
+		traps:    entries(prog, cfg.TrapHandlers),
+		threads:  make([]threadState, cfg.Threads),
 	}
-	for i := range x.threads {
-		x.threads[i] = &threadState{}
-	}
-	x.resetTrapCountdown()
+	x.Reset()
 	return x
+}
+
+// entries maps function IDs to the table indices of their first blocks.
+func entries(prog *Program, ids []FuncID) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = prog.Func(id).First
+	}
+	return out
 }
 
 // Stats returns a copy of the execution counters.
@@ -122,14 +129,15 @@ func (x *Executor) Stats() ExecStats { return x.stats }
 // the deepest call chain has been seen.
 func (x *Executor) Reset() {
 	x.rng.SeedFromString("exec/" + x.cfg.Seed)
-	for _, t := range x.threads {
+	for i := range x.threads {
+		t := &x.threads[i]
 		t.stack = t.stack[:0]
-		t.cur = blockRef{}
+		t.cur = noBlock
 	}
 	x.active = 0
 	x.inTrap = false
 	x.trapThread.stack = x.trapThread.stack[:0]
-	x.trapThread.cur = blockRef{}
+	x.trapThread.cur = noBlock
 	x.stats = ExecStats{}
 	x.resetTrapCountdown()
 }
@@ -150,43 +158,41 @@ func (x *Executor) resetTrapCountdown() {
 	x.trapCountdown = int64(d)
 }
 
-// dispatchRoot picks the next transaction driver for a thread.
-func (x *Executor) dispatchRoot() blockRef {
+// dispatchRoot picks the next transaction driver for a thread and returns
+// the table index of its entry.
+func (x *Executor) dispatchRoot() int32 {
 	x.stats.Transactions++
-	root := x.cfg.Roots[x.rootZipf.Sample(x.rng)]
-	return blockRef{fn: x.prog.Func(root), idx: 0}
+	return x.roots[x.rootZipf.Sample(&x.rng)]
 }
 
 // Next implements isa.EventSource; it never returns ok == false.
 func (x *Executor) Next() (isa.BlockEvent, bool) {
-	if x.inTrap {
-		return x.stepTrap(), true
-	}
-	return x.stepThread(), true
+	var ev [1]isa.BlockEvent
+	x.NextBatch(ev[:])
+	return ev[0], true
 }
 
 // NextBatch implements isa.BatchSource: one dynamic dispatch fills a
-// whole buffer, and events are written in place instead of being copied
-// through the Next return path. The executor is infinite, so dst is
-// always filled completely.
+// whole buffer, and events are written in place. The executor is
+// infinite, so dst is always filled completely.
 func (x *Executor) NextBatch(dst []isa.BlockEvent) int {
 	for i := range dst {
 		if x.inTrap {
-			dst[i] = x.stepTrap()
+			x.stepTrap(&dst[i])
 		} else {
-			dst[i] = x.stepThread()
+			x.stepThread(&dst[i])
 		}
 	}
 	return len(dst)
 }
 
-// stepThread executes one basic block of the active thread.
-func (x *Executor) stepThread() isa.BlockEvent {
-	t := x.threads[x.active]
-	if !t.cur.valid() {
+// stepThread executes one basic block of the active thread into *ev.
+func (x *Executor) stepThread(ev *isa.BlockEvent) {
+	t := &x.threads[x.active]
+	if t.cur == noBlock {
 		t.cur = x.dispatchRoot()
 	}
-	ev, next := x.step(&t.cur, &t.stack, true)
+	next := x.step(ev, t.cur, &t.stack, true)
 
 	x.stats.Events++
 	x.stats.Instrs += uint64(ev.Instrs)
@@ -197,30 +203,28 @@ func (x *Executor) stepThread() isa.BlockEvent {
 		// terminator with a trap redirect (the flush discards the natural
 		// transfer from the fetch unit's perspective), and stash the
 		// natural continuation as the thread's resume point.
-		handler := x.cfg.TrapHandlers[x.rng.Intn(len(x.cfg.TrapHandlers))]
-		hfn := x.prog.Func(handler)
+		handler := x.traps[x.rng.Intn(len(x.traps))]
 		ev.Kind = isa.CTTrap
 		ev.Taken = true
-		ev.Target = hfn.Entry
+		ev.Target = x.blocks[handler].PC
 		t.cur = next
 		x.inTrap = true
 		x.trapThread.stack = x.trapThread.stack[:0] // keep capacity across traps
-		x.trapThread.cur = blockRef{fn: hfn, idx: 0}
+		x.trapThread.cur = handler
 		x.stats.Traps++
 		x.resetTrapCountdown()
-		return ev
+		return
 	}
 	t.cur = next
-	return ev
 }
 
-// stepTrap executes one basic block of kernel trap code.
-func (x *Executor) stepTrap() isa.BlockEvent {
-	ev, next := x.step(&x.trapThread.cur, &x.trapThread.stack, false)
+// stepTrap executes one basic block of kernel trap code into *ev.
+func (x *Executor) stepTrap(ev *isa.BlockEvent) {
+	next := x.step(ev, x.trapThread.cur, &x.trapThread.stack, false)
 	x.stats.Events++
 	x.stats.Instrs += uint64(ev.Instrs)
 
-	if !next.valid() {
+	if next == noBlock {
 		// Kernel stack emptied: trap return, possibly to another thread.
 		x.inTrap = false
 		if x.cfg.Threads > 1 && x.rng.Bool(x.cfg.ContextSwitchProb) {
@@ -230,86 +234,80 @@ func (x *Executor) stepTrap() isa.BlockEvent {
 				x.stats.ContextSwitches++
 			}
 		}
-		t := x.threads[x.active]
-		if !t.cur.valid() {
+		t := &x.threads[x.active]
+		if t.cur == noBlock {
 			t.cur = x.dispatchRoot()
 		}
 		ev.Kind = isa.CTTrapReturn
 		ev.Taken = true
-		ev.Target = t.cur.block().PC
-		return ev
+		ev.Target = x.blocks[t.cur].PC
+		return
 	}
 	x.trapThread.cur = next
-	return ev
 }
 
-// step executes the block at *cur, resolving its terminator with the
-// executor's RNG, and returns the emitted event plus the next block
-// reference. For CTReturn with an empty stack: in user mode (dispatch
-// true) the dispatcher selects the next transaction root; in kernel mode
-// it returns an invalid blockRef to signal trap completion (the caller
-// rewrites the event's target).
-func (x *Executor) step(cur *blockRef, stack *[]frame, dispatch bool) (isa.BlockEvent, blockRef) {
-	fn := cur.fn
-	b := cur.block()
-	ev := isa.BlockEvent{
-		PC:     b.PC,
-		Instrs: b.Instrs,
-		Kind:   b.Term.Kind,
-	}
-	if cur.idx == 0 && fn.Serializing {
-		ev.Serializing = true
+// step executes the block at table index cur into *ev, resolving its
+// terminator with the executor's RNG, and returns the index of the next
+// block. For CTReturn with an empty stack: in user mode (dispatch true)
+// the dispatcher selects the next transaction root; in kernel mode it
+// returns noBlock to signal trap completion (the caller rewrites the
+// event's target).
+func (x *Executor) step(ev *isa.BlockEvent, cur int32, stack *[]int32, dispatch bool) int32 {
+	b := &x.blocks[cur]
+	*ev = isa.BlockEvent{
+		PC:          b.PC,
+		Instrs:      int(b.Instrs),
+		Kind:        b.Kind,
+		Serializing: b.Serializing,
 	}
 
-	var next blockRef
-	switch b.Term.Kind {
+	switch b.Kind {
 	case isa.CTFallthrough:
-		next = blockRef{fn: fn, idx: cur.idx + 1}
+		return cur + 1
 
 	case isa.CTBranch:
-		taken := x.rng.Bool(b.Term.TakenProb)
-		ev.Taken = taken
-		ev.InnerLoop = b.Term.InnerLoop
-		ev.Target = fn.Blocks[b.Term.TakenIdx].PC
-		if taken {
-			next = blockRef{fn: fn, idx: b.Term.TakenIdx}
-		} else {
-			next = blockRef{fn: fn, idx: cur.idx + 1}
+		ev.InnerLoop = b.InnerLoop
+		ev.Target = b.Target
+		if x.rng.Bool(b.TakenProb) {
+			ev.Taken = true
+			return b.Succ
 		}
+		return cur + 1
 
 	case isa.CTJump:
 		ev.Taken = true
-		ev.Target = fn.Blocks[b.Term.TakenIdx].PC
-		next = blockRef{fn: fn, idx: b.Term.TakenIdx}
+		ev.Target = b.Target
+		return b.Succ
 
 	case isa.CTCall:
-		callee := b.Term.Callees[0]
-		if b.Term.CalleeZipf != nil {
-			callee = b.Term.Callees[b.Term.CalleeZipf.Sample(x.rng)]
+		next, target := b.Succ, b.Target
+		if b.Indirect {
+			site := &x.prog.Calls[b.Succ]
+			f := x.prog.Func(site.Callees[site.Zipf.Sample(&x.rng)])
+			next, target = f.First, f.Entry
 		}
-		cfn := x.prog.Func(callee)
 		ev.Taken = true
-		ev.Target = cfn.Entry
-		*stack = append(*stack, frame{fn: fn, resume: cur.idx + 1})
-		next = blockRef{fn: cfn, idx: 0}
+		ev.Target = target
+		*stack = append(*stack, cur+1)
+		return next
 
 	case isa.CTReturn:
 		ev.Taken = true
 		if n := len(*stack); n > 0 {
-			fr := (*stack)[n-1]
+			r := (*stack)[n-1]
 			*stack = (*stack)[:n-1]
-			ev.Target = fr.fn.Blocks[fr.resume].PC
-			next = blockRef{fn: fr.fn, idx: fr.resume}
-		} else if dispatch {
-			next = x.dispatchRoot()
-			ev.Target = next.block().PC
-		} else {
-			// Kernel return with empty stack: caller handles trap return.
-			next = blockRef{}
+			ev.Target = x.blocks[r].PC
+			return r
 		}
+		if dispatch {
+			next := x.dispatchRoot()
+			ev.Target = x.blocks[next].PC
+			return next
+		}
+		// Kernel return with empty stack: caller handles trap return.
+		return noBlock
 
 	default:
-		panic(fmt.Sprintf("cfg: unexpected terminator kind %v", b.Term.Kind))
+		panic(fmt.Sprintf("cfg: unexpected terminator kind %v", b.Kind))
 	}
-	return ev, next
 }

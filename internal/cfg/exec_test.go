@@ -170,8 +170,8 @@ func TestExecutorRepetition(t *testing.T) {
 		distinct[ev.PC] = true
 	}
 	maxBlocks := 0
-	for _, f := range prog.Funcs {
-		maxBlocks += len(f.Blocks)
+	for id := range prog.Funcs {
+		maxBlocks += len(prog.FuncBlocks(FuncID(id)))
 	}
 	if len(distinct) > maxBlocks {
 		t.Errorf("distinct PCs %d exceeds static blocks %d", len(distinct), maxBlocks)
@@ -242,13 +242,5 @@ func TestExecutorInnerLoopFlagged(t *testing.T) {
 	}
 	if !sawInner {
 		t.Error("no inner-loop branches observed (leaf2 has LoopFrac 0.4)")
-	}
-}
-
-func BenchmarkExecutor(b *testing.B) {
-	x, _ := newTestExecutor(b, "bench", 4, 20000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Next()
 	}
 }

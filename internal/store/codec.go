@@ -260,7 +260,7 @@ func decodeMissTraces(payload []byte) ([][]trace.MissRecord, error) {
 		if n > uint64(len(payload)) || c.pos+int(n) > len(payload) {
 			return nil, fmt.Errorf("store: truncated trace at %d", c.pos)
 		}
-		recs, err := trace.ReadAllMisses(bytes.NewReader(payload[c.pos : c.pos+int(n)]))
+		recs, err := trace.ReadAllMisses(payload[c.pos : c.pos+int(n)])
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,6 +20,9 @@ const (
 
 	kindEvents byte = 1
 	kindMisses byte = 2
+
+	// headerLen is the size of a stream header: magic, version, kind.
+	headerLen = len(magic) + 2
 )
 
 // event flag bits.
@@ -305,9 +309,56 @@ func (mr *MissReader) Next() (MissRecord, bool) {
 // Err returns the first decode error, if any.
 func (mr *MissReader) Err() error { return mr.err }
 
-// ReadAllMisses drains a miss stream into a slice.
-func ReadAllMisses(r io.Reader) ([]MissRecord, error) {
-	mr, err := NewMissReader(r)
+// ReadAllMisses decodes a whole miss stream held in memory. It returns
+// the records and the error that draining a MissReader over data would,
+// but decodes in place and allocates the result once: in a valid stream
+// every record has exactly four bytes below 0x80 (the last byte of each of
+// its three varints, and the Sequential byte), so one counting pass gives
+// the length. A malformed stream is decoded again through a MissReader,
+// so each error is the reader's own.
+func ReadAllMisses(data []byte) ([]MissRecord, error) {
+	if len(data) < headerLen || string(data[:len(magic)]) != magic ||
+		data[len(magic)] != formatVersion || data[len(magic)+1] != kindMisses {
+		return drainMisses(data)
+	}
+	body := data[headerLen:]
+	terminal := 0
+	for _, c := range body {
+		if c < 0x80 {
+			terminal++
+		}
+	}
+	var out []MissRecord
+	if terminal >= 4 {
+		out = make([]MissRecord, 0, terminal/4)
+	}
+	var prevBlk isa.Block
+	var prevSeq uint64
+	for len(body) > 0 {
+		d, n1 := binary.Uvarint(body)
+		if n1 <= 0 {
+			return drainMisses(data)
+		}
+		ds, n2 := binary.Uvarint(body[n1:])
+		if n2 <= 0 {
+			return drainMisses(data)
+		}
+		br, n3 := binary.Uvarint(body[n1+n2:])
+		k := n1 + n2 + n3
+		if n3 <= 0 || k >= len(body) {
+			return drainMisses(data)
+		}
+		prevBlk = isa.Block(int64(prevBlk) + unzigzag(d))
+		prevSeq += ds
+		out = append(out, MissRecord{Block: prevBlk, Seq: prevSeq, Branches: int(br), Sequential: body[k] != 0})
+		body = body[k+1:]
+	}
+	return out, nil
+}
+
+// drainMisses reads data through a MissReader to its end or first error.
+func drainMisses(data []byte) ([]MissRecord, error) {
+	mr, err := NewMissReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}

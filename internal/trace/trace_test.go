@@ -249,8 +249,8 @@ func TestMissCodecRoundTrip(t *testing.T) {
 		if w.Flush() != nil {
 			return false
 		}
-		got, err := ReadAllMisses(&buf)
-		if err != nil || len(got) != len(recs) {
+		got, err := ReadAllMisses(buf.Bytes())
+		if err != nil || len(got) != len(recs) || cap(got) != len(recs) {
 			return false
 		}
 		for i := range recs {
