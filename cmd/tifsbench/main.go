@@ -106,7 +106,7 @@ func run() int {
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all six)")
 		events     = flag.Uint64("events", 0, "override per-core event budget (0 = scale default)")
 		cores      = flag.Int("cores", 4, "number of cores")
-		parallel   = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+		parallel   = flag.Int("parallelism", 0, "concurrent simulations and analysis workloads (0 = GOMAXPROCS, 1 = serial)")
 		intra      = flag.String("intra", "off", "producer shards inside each simulation: off|on|auto|N (off/0/1 = serial, on/auto = NumCPU; output bytes identical at every setting)")
 		cacheDir   = flag.String("cache-dir", "", "persistent result store directory (empty = disabled)")
 		remote     = flag.String("remote", "", "tifsserve base URL (e.g. http://host:8419); replaces -cache-dir for runs, -shard, and -merge")

@@ -53,7 +53,7 @@ func run() int {
 		dir         = flag.String("dir", "", "result store directory to serve (required; created if absent)")
 		addr        = flag.String("addr", ":8419", "listen address")
 		jobs        = flag.Bool("jobs", true, "run the sweep service (POST /v1/jobs) on this store")
-		parallelism = flag.Int("parallelism", 0, "concurrent simulations in the job engine (0 = GOMAXPROCS)")
+		parallelism = flag.Int("parallelism", 0, "concurrent simulations and analysis workloads in the job engine (0 = GOMAXPROCS)")
 		maxActive   = flag.Int("max-active-jobs", 0, "concurrently executing jobs (0 = default 2)")
 		maxQueued   = flag.Int("max-queued-jobs", 0, "queued jobs across all clients before 429 (0 = default 64)")
 		maxPerCli   = flag.Int("max-queued-per-client", 0, "queued jobs per client before 429 (0 = default 4)")

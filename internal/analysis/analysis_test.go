@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tifs/internal/isa"
+	"tifs/internal/sequitur"
 	"tifs/internal/trace"
 	"tifs/internal/workload"
 	"tifs/internal/xrand"
@@ -719,4 +720,22 @@ func BenchmarkIMLCapacitySweep(b *testing.B) {
 		IMLCapacitySweep(perCore, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*misses), "ns/miss")
+}
+
+// BenchmarkCategorizeSnapshot categorizes the grammar of one medium-scale
+// OLTP-DB2 core's miss trace, the per-core unit of Fig. 3, 5 and 6.
+func BenchmarkCategorizeSnapshot(b *testing.B) {
+	spec, _ := workload.ByName("OLTP-DB2")
+	g := workload.Build(spec, workload.ScaleMedium, 4)
+	recs := trace.ExtractMisses(g.Sources()[0], workload.ScaleMedium.AnalysisEvents(), trace.ExtractorConfig{})
+	gr := sequitur.New()
+	for _, r := range recs {
+		gr.Append(uint64(r.Block))
+	}
+	snap := gr.Snapshot()
+	b.ReportAllocs()
+	for b.Loop() {
+		CategorizeSnapshot(snap)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/miss")
 }

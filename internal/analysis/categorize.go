@@ -74,6 +74,9 @@ func CategorizeSnapshot(snap *sequitur.Snapshot) *Categorization {
 		Rules:         snap.NumRules() - 1,
 	}
 	seen := make([]bool, snap.NumRules())
+	// The walk counts in locals: each Categories.Add is a map read and
+	// write.
+	var opportunity, head, fresh, nonRepetitive uint64
 
 	// visit walks the first occurrence of a rule's body. Terminals at the
 	// grammar root were never folded into any rule — they never repeat
@@ -83,13 +86,13 @@ func CategorizeSnapshot(snap *sequitur.Snapshot) *Categorization {
 	// classify wholesale (one Head, rest Opportunity) without recursion.
 	var visit func(id int, atRoot bool)
 	visit = func(id int, atRoot bool) {
-		terminalCat := CatNew
+		terminals := &fresh
 		if atRoot {
-			terminalCat = CatNonRepetitive
+			terminals = &nonRepetitive
 		}
 		for _, sym := range snap.Rules[id].Syms {
 			if !sym.IsRule {
-				out.Counts.Add(terminalCat, 1)
+				*terminals++
 				continue
 			}
 			r := sym.Rule
@@ -99,13 +102,17 @@ func CategorizeSnapshot(snap *sequitur.Snapshot) *Categorization {
 				continue
 			}
 			exp := snap.Rules[r].ExpLen
-			out.Counts.Add(CatHead, 1)
+			head++
 			if exp > 1 {
-				out.Counts.Add(CatOpportunity, exp-1)
+				opportunity += exp - 1
 			}
 			out.StreamLengths.AddN(int(exp), 1)
 		}
 	}
 	visit(0, true)
+	out.Counts.Add(CatOpportunity, opportunity)
+	out.Counts.Add(CatHead, head)
+	out.Counts.Add(CatNew, fresh)
+	out.Counts.Add(CatNonRepetitive, nonRepetitive)
 	return out
 }

@@ -145,8 +145,10 @@ type Engine struct {
 // Deduplicated work emits no event: a submission that joins an
 // in-flight or completed entry is invisible here, which is exactly what
 // makes the event stream a faithful account of work actually performed.
-// Callbacks run on worker goroutines and must be cheap and
-// concurrency-safe.
+// A done or store-hit event is delivered before the entry's waiters are
+// released, so every event of the work a call waited for reaches the
+// observer before that call returns. Callbacks run on worker goroutines
+// and must be cheap and concurrency-safe.
 type Observer func(kind, key string)
 
 // Observer event kinds.
@@ -350,8 +352,8 @@ func (e *Engine) start(ctx context.Context, job Job) *simEntry {
 			if res, ok := e.store.GetResult(key); ok {
 				e.storeHits.Add(1)
 				en.res = res
-				close(en.done)
 				e.notify(EventStoreHit, key)
+				close(en.done)
 				return
 			}
 		}
@@ -372,8 +374,8 @@ func (e *Engine) start(ctx context.Context, job Job) *simEntry {
 		if e.store != nil {
 			e.store.PutResult(key, en.res)
 		}
-		close(en.done)
 		e.notify(EventSimDone, key)
+		close(en.done)
 	}()
 	return en
 }
@@ -481,8 +483,8 @@ func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workl
 		if recs, ok := e.store.GetMissTraces(key); ok && len(recs) == cores {
 			e.storeHits.Add(1)
 			en.recs = recs
-			close(en.done)
 			e.notify(EventStoreHit, key)
+			close(en.done)
 			return en.recs
 		}
 	}
@@ -517,7 +519,7 @@ func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workl
 	if e.store != nil {
 		e.store.PutMissTraces(key, en.recs)
 	}
-	close(en.done)
 	e.notify(EventTraceDone, key)
+	close(en.done)
 	return en.recs
 }

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tifs/internal/core"
 	"tifs/internal/sim"
@@ -197,5 +199,26 @@ func TestMissTracesMemoized(t *testing.T) {
 		if len(recs) == 0 {
 			t.Errorf("core %d extracted no misses", i)
 		}
+	}
+}
+
+// TestObserverHearsDoneBeforeWaitersWake: a simulation's done event
+// reaches the observer before RunAll returns its result, even when the
+// observer is slow, so a caller counting work through the observer (the
+// sweep service's per-job counters) has all of it once the call returns.
+func TestObserverHearsDoneBeforeWaitersWake(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	var done atomic.Int32
+	e.SetObserver(func(kind, _ string) {
+		if kind == EventSimDone {
+			time.Sleep(20 * time.Millisecond)
+			done.Add(1)
+		}
+	})
+	oltp := spec(t, "OLTP-DB2")
+	e.RunAll(context.Background(), []Job{job(oltp, sim.Baseline()), job(oltp, sim.FDIP())})
+	if got := done.Load(); got != 2 {
+		t.Errorf("observer heard %d sim-done events by the time RunAll returned, want 2", got)
 	}
 }

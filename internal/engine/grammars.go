@@ -82,8 +82,8 @@ func (e *Engine) Grammars(ctx context.Context, t TraceJob, dropSequential bool) 
 		if snaps, ok := e.store.GetGrammars(key); ok && len(snaps) == t.Cores {
 			e.storeHits.Add(1)
 			en.snaps = snaps
-			close(en.done)
 			e.notify(EventStoreHit, key)
+			close(en.done)
 			return en.snaps
 		}
 	}
@@ -131,7 +131,7 @@ func (e *Engine) Grammars(ctx context.Context, t TraceJob, dropSequential bool) 
 	if e.store != nil {
 		e.store.PutGrammars(key, snaps)
 	}
-	close(en.done)
 	e.notify(EventGrammarDone, key)
+	close(en.done)
 	return en.snaps
 }

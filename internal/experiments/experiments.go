@@ -11,6 +11,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"tifs/internal/analysis"
 	"tifs/internal/engine"
@@ -39,9 +41,10 @@ type Options struct {
 	Cores int
 	// Workloads restricts the suite (empty = all six).
 	Workloads []string
-	// Parallelism bounds how many simulations run concurrently (0 =
-	// GOMAXPROCS, 1 = serial). Output is byte-identical at every setting:
-	// results are assembled in submission order and every simulation is
+	// Parallelism bounds how many simulations, and how many of an
+	// analysis figure's workloads, run concurrently (0 = GOMAXPROCS,
+	// 1 = serial). Output is byte-identical at every setting: results
+	// are assembled in submission order and every simulation is
 	// deterministic in its configuration.
 	Parallelism int
 	// IntraParallelism shards event generation inside each simulation
@@ -148,14 +151,32 @@ func (o Options) traceJob(spec workload.Spec) engine.TraceJob {
 	return engine.TraceJob{Spec: spec, Scale: o.Scale, Cores: o.Cores, Events: o.analysisEvents()}
 }
 
-// missTraces returns the per-core filtered miss traces for a workload;
-// the records are read-only. Within one engine, extraction runs once per
-// (workload, scale, cores, events) and is shared by every analysis
-// experiment — runners sharing an engine (the default, or an explicit
-// o.Engine) never re-extract. A nonzero Parallelism with a nil Engine
-// creates a fresh engine per call and forgoes that cross-call sharing.
-func missTraces(spec workload.Spec, o Options) [][]trace.MissRecord {
-	return o.engine().ExtractTraces(o.ctx(), o.traceJob(spec))
+// perWorkload runs task once for each workload of the suite and returns
+// the rows in suite order. At most e.Parallelism() tasks run at once,
+// each goroutine taking the next workload in suite order, so at width 1
+// the workloads run one at a time in suite order. A task holds none of
+// the engine's worker slots: Grammars and ExtractTraces take slots
+// themselves, so a task waiting in them on a slot of its own would
+// deadlock at width 1. Its kernels run outside the engine's pool.
+func perWorkload[R any](e *engine.Engine, suite []workload.Spec, task func(workload.Spec) R) []R {
+	rows := make([]R, len(suite))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(e.Parallelism(), len(suite)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(suite) {
+					return
+				}
+				rows[i] = task(suite[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return rows
 }
 
 // analysisTraces enumerates the trace extractions the offline analysis
@@ -278,10 +299,7 @@ type Fig3Row struct {
 func Fig3(o Options) ([]Fig3Row, string) {
 	o = o.withDefaults()
 	e := o.engine()
-	var rows []Fig3Row
-	t := stats.NewTable("Fig. 3. Miss categorization by SEQUITUR analysis (% of L1-I misses)",
-		"Workload", "Opportunity", "Head", "New", "Non-repetitive", "Repetitive")
-	for _, spec := range o.suite() {
+	rows := perWorkload(e, o.suite(), func(spec workload.Spec) Fig3Row {
 		// The per-core grammars come from the engine's memoized (and
 		// store-persisted) grammar tier; a warm process categorizes
 		// without re-running SEQUITUR.
@@ -303,13 +321,17 @@ func Fig3(o Options) ([]Fig3Row, string) {
 			rules += c.Rules
 		}
 		cat := &analysis.Categorization{Counts: merged, StreamLengths: lengths, Rules: rules}
-		rows = append(rows, Fig3Row{Workload: spec.Name, Cat: cat})
-		t.AddRow(spec.Name,
-			stats.Pct(cat.Counts.Fraction(analysis.CatOpportunity)),
-			stats.Pct(cat.Counts.Fraction(analysis.CatHead)),
-			stats.Pct(cat.Counts.Fraction(analysis.CatNew)),
-			stats.Pct(cat.Counts.Fraction(analysis.CatNonRepetitive)),
-			stats.Pct(cat.RepetitiveFrac()))
+		return Fig3Row{Workload: spec.Name, Cat: cat}
+	})
+	t := stats.NewTable("Fig. 3. Miss categorization by SEQUITUR analysis (% of L1-I misses)",
+		"Workload", "Opportunity", "Head", "New", "Non-repetitive", "Repetitive")
+	for _, r := range rows {
+		t.AddRow(r.Workload,
+			stats.Pct(r.Cat.Counts.Fraction(analysis.CatOpportunity)),
+			stats.Pct(r.Cat.Counts.Fraction(analysis.CatHead)),
+			stats.Pct(r.Cat.Counts.Fraction(analysis.CatNew)),
+			stats.Pct(r.Cat.Counts.Fraction(analysis.CatNonRepetitive)),
+			stats.Pct(r.Cat.RepetitiveFrac()))
 	}
 	return rows, t.String()
 }
@@ -325,11 +347,7 @@ type Fig5Row struct {
 func Fig5(o Options) ([]Fig5Row, string) {
 	o = o.withDefaults()
 	e := o.engine()
-	var rows []Fig5Row
-	marks := []float64{0.25, 0.5, 0.75, 0.9}
-	t := stats.NewTable("Fig. 5. Recurring stream lengths, sequential misses removed (length at %opportunity)",
-		"Workload", "p25", "median", "p75", "p90", "max")
-	for _, spec := range o.suite() {
+	rows := perWorkload(e, o.suite(), func(spec workload.Spec) Fig5Row {
 		// The dropSequential grammar variant is its own persisted entry.
 		snaps := e.Grammars(o.ctx(), o.traceJob(spec), true)
 		lengths := stats.NewHistogram()
@@ -339,9 +357,14 @@ func Fig5(o Options) ([]Fig5Row, string) {
 				lengths.AddN(v, c.StreamLengths.Count(v))
 			}
 		}
-		rows = append(rows, Fig5Row{Workload: spec.Name, Lengths: lengths})
-		row := []string{spec.Name}
-		wcdf := lengths.WeightedCDF()
+		return Fig5Row{Workload: spec.Name, Lengths: lengths}
+	})
+	marks := []float64{0.25, 0.5, 0.75, 0.9}
+	t := stats.NewTable("Fig. 5. Recurring stream lengths, sequential misses removed (length at %opportunity)",
+		"Workload", "p25", "median", "p75", "p90", "max")
+	for _, r := range rows {
+		row := []string{r.Workload}
+		wcdf := r.Lengths.WeightedCDF()
 		for _, m := range marks {
 			x := 0
 			for _, pt := range wcdf {
@@ -353,7 +376,7 @@ func Fig5(o Options) ([]Fig5Row, string) {
 			row = append(row, fmt.Sprintf("%d", x))
 		}
 		maxLen := 0
-		if vs := lengths.Values(); len(vs) > 0 {
+		if vs := r.Lengths.Values(); len(vs) > 0 {
 			maxLen = vs[len(vs)-1]
 		}
 		row = append(row, fmt.Sprintf("%d", maxLen))
@@ -373,10 +396,7 @@ type Fig6Row struct {
 func Fig6(o Options) ([]Fig6Row, string) {
 	o = o.withDefaults()
 	e := o.engine()
-	var rows []Fig6Row
-	t := stats.NewTable("Fig. 6. Stream lookup heuristics (% of misses eliminated)",
-		"Workload", "First", "Digram", "Recent", "Longest", "Opportunity")
-	for _, spec := range o.suite() {
+	rows := perWorkload(e, o.suite(), func(spec workload.Spec) Fig6Row {
 		// Heuristic replay needs the raw miss sequences; the opportunity
 		// column reuses the same full-trace grammars Fig3 categorizes
 		// (shared through the engine's grammar memo).
@@ -404,13 +424,17 @@ func Fig6(o Options) ([]Fig6Row, string) {
 			}
 			opp = float64(oppCount) / float64(totalMisses)
 		}
-		rows = append(rows, Fig6Row{Workload: spec.Name, Coverages: covs, Opportunity: opp})
-		t.AddRow(spec.Name,
-			stats.Pct(covs[analysis.PolicyFirst]),
-			stats.Pct(covs[analysis.PolicyDigram]),
-			stats.Pct(covs[analysis.PolicyRecent]),
-			stats.Pct(covs[analysis.PolicyLongest]),
-			stats.Pct(opp))
+		return Fig6Row{Workload: spec.Name, Coverages: covs, Opportunity: opp}
+	})
+	t := stats.NewTable("Fig. 6. Stream lookup heuristics (% of misses eliminated)",
+		"Workload", "First", "Digram", "Recent", "Longest", "Opportunity")
+	for _, r := range rows {
+		t.AddRow(r.Workload,
+			stats.Pct(r.Coverages[analysis.PolicyFirst]),
+			stats.Pct(r.Coverages[analysis.PolicyDigram]),
+			stats.Pct(r.Coverages[analysis.PolicyRecent]),
+			stats.Pct(r.Coverages[analysis.PolicyLongest]),
+			stats.Pct(r.Opportunity))
 	}
 	return rows, t.String()
 }
@@ -425,26 +449,25 @@ type Fig10Row struct {
 // fetch-directed prefetcher needs for a four-miss lookahead (Section 6.2).
 func Fig10(o Options) ([]Fig10Row, string) {
 	o = o.withDefaults()
-	var rows []Fig10Row
-	buckets := analysis.LookaheadBuckets()
-	headers := []string{"Workload"}
-	for _, b := range buckets {
-		headers = append(headers, fmt.Sprintf("<=%d", b))
-	}
-	t := stats.NewTable("Fig. 10. Non-inner-loop branch predictions required for 4-miss lookahead (CDF)", headers...)
-	for _, spec := range o.suite() {
-		perCore := missTraces(spec, o)
+	e := o.engine()
+	rows := perWorkload(e, o.suite(), func(spec workload.Spec) Fig10Row {
 		h := stats.NewHistogram()
-		for _, recs := range perCore {
+		for _, recs := range e.ExtractTraces(o.ctx(), o.traceJob(spec)) {
 			ph := analysis.BranchLookahead(recs, analysis.DefaultLookaheadMisses)
 			for _, v := range ph.Values() {
 				h.AddN(v, ph.Count(v))
 			}
 		}
-		cdf := analysis.LookaheadCDF(h)
-		rows = append(rows, Fig10Row{Workload: spec.Name, CDF: cdf})
-		row := []string{spec.Name}
-		for _, pt := range cdf {
+		return Fig10Row{Workload: spec.Name, CDF: analysis.LookaheadCDF(h)}
+	})
+	headers := []string{"Workload"}
+	for _, b := range analysis.LookaheadBuckets() {
+		headers = append(headers, fmt.Sprintf("<=%d", b))
+	}
+	t := stats.NewTable("Fig. 10. Non-inner-loop branch predictions required for 4-miss lookahead (CDF)", headers...)
+	for _, r := range rows {
+		row := []string{r.Workload}
+		for _, pt := range r.CDF {
 			row = append(row, stats.Pct(pt.P))
 		}
 		t.AddRow(row...)
@@ -461,25 +484,26 @@ type Fig11Row struct {
 // Fig11 sweeps IML capacity against predictor coverage (Section 6.3).
 func Fig11(o Options) ([]Fig11Row, string) {
 	o = o.withDefaults()
+	e := o.engine()
 	entries := analysis.DefaultIMLSweepEntries()
+	rows := perWorkload(e, o.suite(), func(spec workload.Spec) Fig11Row {
+		perCore := e.ExtractTraces(o.ctx(), o.traceJob(spec))
+		blocks := make([][]isa.Block, len(perCore))
+		for i, recs := range perCore {
+			blocks[i] = trace.Blocks(recs)
+		}
+		return Fig11Row{Workload: spec.Name, Points: analysis.IMLCapacitySweep(blocks, entries)}
+	})
 	headers := []string{"Workload"}
 	for _, n := range entries {
 		headers = append(headers, fmt.Sprintf("%d(%0.0fKB)", n, analysis.IMLStorageKB(n)))
 	}
 	t := stats.NewTable("Fig. 11. Predictor coverage vs. per-core IML capacity (perfect index)", headers...)
-	var rows []Fig11Row
-	for _, spec := range o.suite() {
-		perCore := missTraces(spec, o)
-		blocks := make([][]isa.Block, len(perCore))
-		for i, recs := range perCore {
-			blocks[i] = trace.Blocks(recs)
-		}
-		pts := analysis.IMLCapacitySweep(blocks, entries)
-		row := []string{spec.Name}
-		for _, p := range pts {
+	for _, r := range rows {
+		row := []string{r.Workload}
+		for _, p := range r.Points {
 			row = append(row, stats.Pct(p.Coverage))
 		}
-		rows = append(rows, Fig11Row{Workload: spec.Name, Points: pts})
 		t.AddRow(row...)
 	}
 	return rows, t.String()

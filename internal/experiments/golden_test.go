@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,37 +137,95 @@ func analysisGoldenPath(id string) string {
 }
 
 // TestGoldenAnalysisOutputs holds the analysis figures to their
-// committed outputs under analysisGoldens, byte for byte. One engine
-// serves all four, so Fig. 3, 5 and 6 share their traces and grammars.
+// committed outputs under analysisGoldens, byte for byte, on a fresh
+// engine of width 1 (the workloads one at a time, in suite order) and
+// one of width 8 (all of them at once, finishing in any order). Each
+// engine serves all four figures, so Fig. 3, 5 and 6 share their traces
+// and grammars.
 func TestGoldenAnalysisOutputs(t *testing.T) {
-	e := engine.New(0)
-	defer e.Close()
+	widths := []int{1, 8}
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden", "analysis"), 0o755); err != nil {
 			t.Fatal(err)
 		}
+		widths = []int{0}
 	}
-	for _, g := range analysisGoldens {
-		r, ok := ByID(g.id)
-		if !ok {
-			t.Fatalf("unknown experiment %q", g.id)
-		}
-		o := g.o
-		o.Engine = e
-		got := r.Run(o)
-		if *updateGolden {
-			if err := os.WriteFile(analysisGoldenPath(g.id), []byte(got), 0o644); err != nil {
-				t.Fatal(err)
+	for _, width := range widths {
+		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
+			e := engine.New(width)
+			defer e.Close()
+			for _, g := range analysisGoldens {
+				r, ok := ByID(g.id)
+				if !ok {
+					t.Fatalf("unknown experiment %q", g.id)
+				}
+				o := g.o
+				o.Engine = e
+				got := r.Run(o)
+				if *updateGolden {
+					if err := os.WriteFile(analysisGoldenPath(g.id), []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if want := readAnalysisGolden(t, g.id); got != want {
+					t.Errorf("%s output diverged from analysis golden:\n--- golden\n%s\n--- got\n%s", g.id, want, got)
+				}
 			}
-			continue
+		})
+	}
+}
+
+// readAnalysisGolden loads one committed analysis expectation.
+func readAnalysisGolden(t *testing.T, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(analysisGoldenPath(id))
+	if err != nil {
+		t.Fatalf("missing analysis golden output (regenerate with -update-golden): %v", err)
+	}
+	return string(data)
+}
+
+// TestAnalysisFanOutCancel cancels a cold Fig. 11 pass at width 2 once
+// both of its workload tasks are extracting. The runner must return with
+// every goroutine it started gone, and the engine must not keep the
+// aborted extractions: a later pass with a live context renders the
+// golden bytes.
+func TestAnalysisFanOutCancel(t *testing.T) {
+	var o Options
+	for _, g := range analysisGoldens {
+		if g.id == "fig11" {
+			o = g.o
 		}
-		data, err := os.ReadFile(analysisGoldenPath(g.id))
-		if err != nil {
-			t.Fatalf("missing analysis golden output (regenerate with -update-golden): %v", err)
+	}
+	e := engine.New(2)
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var starts atomic.Int32
+	e.SetObserver(func(kind, _ string) {
+		if kind == engine.EventTraceStart && starts.Add(1) == 2 {
+			cancel()
 		}
-		if want := string(data); got != want {
-			t.Errorf("%s output diverged from analysis golden:\n--- golden\n%s\n--- got\n%s", g.id, want, got)
+	})
+	before := runtime.NumGoroutine()
+
+	o.Engine = e
+	o.Context = ctx
+	Fig11(o)
+	if ctx.Err() == nil {
+		t.Fatal("the pass finished before both tasks started extracting")
+	}
+	for deadline := time.Now().Add(30 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlived the cancelled pass (%d before it)", runtime.NumGoroutine(), before)
 		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	o.Context = nil
+	if _, got := Fig11(o); got != readAnalysisGolden(t, "fig11") {
+		t.Errorf("pass after cancellation diverged from analysis golden:\n%s", got)
 	}
 }
 

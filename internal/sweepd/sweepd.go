@@ -149,8 +149,8 @@ type JobStatus struct {
 
 // Config sizes a Service.
 type Config struct {
-	// Parallelism bounds concurrent simulations in the shared engine
-	// (0 = GOMAXPROCS).
+	// Parallelism bounds concurrent simulations in the shared engine,
+	// and each analysis figure's concurrent workloads (0 = GOMAXPROCS).
 	Parallelism int
 	// Backend is the persistent memo tier (the served store directory;
 	// nil = in-process memo only).

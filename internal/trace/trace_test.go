@@ -144,6 +144,21 @@ func TestExtractorOnRealWorkload(t *testing.T) {
 	}
 }
 
+// TestExtractMissesExactLength checks that a returned trace carries no
+// spare capacity: the engine memoizes these slices for a whole pass, and
+// the collection buffer is sized for streams far denser than this one.
+func TestExtractMissesExactLength(t *testing.T) {
+	spec, _ := workload.ByName("OLTP-DB2")
+	g := workload.Build(spec, workload.ScaleSmall, 1)
+	misses := ExtractMisses(g.Sources()[0], 120_000, ExtractorConfig{})
+	if len(misses) == 0 {
+		t.Fatal("workload produced no misses")
+	}
+	if cap(misses) != len(misses) {
+		t.Errorf("cap = %d, len = %d; want cap == len", cap(misses), len(misses))
+	}
+}
+
 func TestDSSMissesLessThanOLTP(t *testing.T) {
 	rate := func(name string) float64 {
 		spec, _ := workload.ByName(name)
