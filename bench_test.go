@@ -18,7 +18,6 @@
 package tifs_test
 
 import (
-	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -111,39 +110,6 @@ func BenchmarkSimulatorThroughputPooled(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			r := tifs.NewSimRunner()
 			cfg := tifs.SimConfig{EventsPerCore: 50_000, Mechanism: mech}
-			r.Run(spec, tifs.ScaleSmall, cfg) // warm the pools
-			b.ReportAllocs()
-			b.ResetTimer()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				events += r.Run(spec, tifs.ScaleSmall, cfg).TotalEvents
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// BenchmarkSimulatorIntraParallel measures one simulation at each
-// intra-run sharding level on a reused SimRunner. intra-1 is the serial
-// baseline; higher shard counts move event generation onto producer
-// goroutines while the merge thread consumes from the rings. Output is
-// byte-identical at every level, so the events/s column is the whole
-// story — and the allocation columns must stay at zero, shards or not
-// (the producer pool, rings, and tasks are all Runner-pooled).
-func BenchmarkSimulatorIntraParallel(b *testing.B) {
-	spec, err := tifs.WorkloadByName("OLTP-DB2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, intra := range []int{1, 2, 4, 8} {
-		intra := intra
-		b.Run(fmt.Sprintf("intra-%d", intra), func(b *testing.B) {
-			r := tifs.NewSimRunner()
-			cfg := tifs.SimConfig{
-				EventsPerCore:    50_000,
-				Mechanism:        tifs.NextLineOnly(),
-				IntraParallelism: intra,
-			}
 			r.Run(spec, tifs.ScaleSmall, cfg) // warm the pools
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -12,12 +12,10 @@
 // instead of re-simulating, printing byte-identical tables in a fraction
 // of the time. A store summary goes to stderr so stdout stays clean.
 //
-// -intra N shards event generation inside each simulation across N
-// producer goroutines with a deterministic merge at the shared uncore:
-// output bytes are identical at every setting, so it composes with
-// every mode below (and is excluded from -submit's dedup key). It
-// accepts off|on|auto|N ("on" and "auto" size to the machine);
-// negative widths are rejected.
+// -parallelism N bounds how many simulations, and how many of an
+// analysis figure's workloads, run at once (0 = GOMAXPROCS, 1 =
+// serial). Each simulation runs on one goroutine; output bytes are
+// identical at every setting, so it composes with every mode below.
 //
 // Sharded sweeps split one experiment grid across processes or machines
 // that share a -cache-dir (for machines: on a shared filesystem):
@@ -107,7 +105,6 @@ func run() int {
 		events     = flag.Uint64("events", 0, "override per-core event budget (0 = scale default)")
 		cores      = flag.Int("cores", 4, "number of cores")
 		parallel   = flag.Int("parallelism", 0, "concurrent simulations and analysis workloads (0 = GOMAXPROCS, 1 = serial)")
-		intra      = flag.String("intra", "off", "producer shards inside each simulation: off|on|auto|N (off/0/1 = serial, on/auto = NumCPU; output bytes identical at every setting)")
 		cacheDir   = flag.String("cache-dir", "", "persistent result store directory (empty = disabled)")
 		remote     = flag.String("remote", "", "tifsserve base URL (e.g. http://host:8419); replaces -cache-dir for runs, -shard, and -merge")
 		submit     = flag.String("submit", "", "submit the run as a job to a tifsserve URL and stream its progress; the server executes it")
@@ -175,14 +172,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := parseIntra(*intra)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	ctx, stop := signalContext()
 	defer stop()
-	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel, IntraParallelism: intraN}
+	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
 			name := strings.TrimSpace(w)
@@ -261,9 +253,6 @@ func run() int {
 	} else {
 		eng = tifs.NewSimEngine(*parallel, o.Store)
 	}
-	if intraN > 1 {
-		eng.SetIntraParallelism(intraN)
-	}
 	o.Engine = eng
 	defer eng.Close()
 	defer func() {
@@ -282,28 +271,6 @@ func run() int {
 	}
 	fmt.Print(out)
 	return interrupted(ctx)
-}
-
-// parseIntra interprets the -intra flag: "off" (and widths 0/1) runs
-// serially, "on" and "auto" size the tier to the machine
-// (runtime.NumCPU()), and a bare integer sets the width directly.
-// Negative widths are rejected with a clear error instead of silently
-// running serial.
-func parseIntra(val string) (int, error) {
-	switch val {
-	case "", "off":
-		return 0, nil
-	case "on", "auto":
-		return runtime.NumCPU(), nil
-	}
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
-	}
-	return n, nil
 }
 
 // interrupted converts a cancelled run context into the exit status: any
@@ -326,12 +293,11 @@ func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []s
 	c := tifs.DialJobService(url, httpClient)
 	c.Name = submitClientName()
 	req := tifs.JobRequest{
-		Experiments:      ids,
-		Workloads:        o.Workloads,
-		Scale:            fmt.Sprint(o.Scale),
-		Events:           o.Events,
-		Cores:            o.Cores,
-		IntraParallelism: o.IntraParallelism,
+		Experiments: ids,
+		Workloads:   o.Workloads,
+		Scale:       fmt.Sprint(o.Scale),
+		Events:      o.Events,
+		Cores:       o.Cores,
 	}
 	st, err := tifs.SubmitJob(ctx, c, req)
 	if err != nil {

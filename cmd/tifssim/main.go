@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"syscall"
 
 	"tifs"
@@ -60,7 +58,6 @@ func run() int {
 		events    = flag.Uint64("events", 0, "per-core events (0 = scale default)")
 		cores     = flag.Int("cores", 4, "number of cores")
 		baseline  = flag.Bool("baseline", true, "also run the next-line baseline and report speedup")
-		intra     = flag.String("intra", "off", "producer shards inside the simulation: off|on|auto|N (off/0/1 = serial, on/auto = NumCPU; report bytes identical at every setting)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result store directory (empty = disabled)")
 		remote    = flag.String("remote", "", "tifsserve base URL (e.g. http://host:8419); remote result store instead of -cache-dir")
 		submit    = flag.String("submit", "", "submit the simulation as a job to a tifsserve URL; the server executes it and returns the report")
@@ -97,16 +94,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := parseIntra(*intra)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	ctx, stop := signalContext()
 	defer stop()
 
 	if *submit != "" {
-		return runSubmit(ctx, *submit, *name, *mechName, *scaleName, *baseline, *events, *cores, intraN)
+		return runSubmit(ctx, *submit, *name, *mechName, *scaleName, *baseline, *events, *cores)
 	}
 
 	// Run the mechanism and (when requested) its next-line baseline as one
@@ -136,13 +128,11 @@ func run() int {
 	}
 	jobs := []tifs.SimJob{{Spec: spec, Scale: scale, Config: tifs.SimConfig{
 		Cores: *cores, EventsPerCore: *events, Mechanism: mech,
-		IntraParallelism: intraN,
 	}}}
 	wantBaseline := *baseline && mech.Kind != "none"
 	if wantBaseline {
 		jobs = append(jobs, tifs.SimJob{Spec: spec, Scale: scale, Config: tifs.SimConfig{
 			Cores: *cores, EventsPerCore: *events, Mechanism: tifs.NextLineOnly(),
-			IntraParallelism: intraN,
 		}})
 	}
 	results := tifs.SimulateAllBackendContext(ctx, jobs, 0, st)
@@ -160,31 +150,9 @@ func run() int {
 	return 0
 }
 
-// parseIntra interprets the -intra flag: "off" (and widths 0/1) runs
-// serially, "on" and "auto" size the tier to the machine
-// (runtime.NumCPU()), and a bare integer sets the width directly.
-// Negative widths are rejected with a clear error instead of silently
-// running serial.
-func parseIntra(val string) (int, error) {
-	switch val {
-	case "", "off":
-		return 0, nil
-	case "on", "auto":
-		return runtime.NumCPU(), nil
-	}
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
-	}
-	return n, nil
-}
-
 // runSubmit posts the simulation to a sweep service's job API and
 // prints the server-rendered report.
-func runSubmit(ctx context.Context, url, workload, mechanism, scale string, baseline bool, events uint64, cores, intra int) int {
+func runSubmit(ctx context.Context, url, workload, mechanism, scale string, baseline bool, events uint64, cores int) int {
 	c := tifs.DialJobService(url, nil)
 	host, err := os.Hostname()
 	if err != nil {
@@ -194,7 +162,6 @@ func runSubmit(ctx context.Context, url, workload, mechanism, scale string, base
 	st, err := tifs.SubmitJob(ctx, c, tifs.JobRequest{
 		Workload: workload, Mechanism: mechanism, Baseline: baseline,
 		Scale: scale, Events: events, Cores: cores,
-		IntraParallelism: intra,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tifssim:", err)

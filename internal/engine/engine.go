@@ -55,13 +55,7 @@ type Job struct {
 // config is scalar, so the printed form is a complete identity — stable
 // across processes and machines, which is what lets the persistent store
 // and the shard partitioner address work content-wise.
-//
-// IntraParallelism is normalized out: it alters execution inside a run
-// without changing a single output byte (sim's golden and byte-identity
-// tests enforce that), so runs at different settings must deduplicate
-// against each other and share store entries.
 func (j Job) Key() string {
-	j.Config.IntraParallelism = 0
 	return fmt.Sprintf("%+v|%d|%+v", j.Spec, j.Scale, j.Config)
 }
 
@@ -101,10 +95,6 @@ type Engine struct {
 	parallelism int
 	sem         chan struct{} // counting semaphore over running work
 
-	// intra is the default sim.Config.IntraParallelism injected into
-	// jobs that leave it unset (see SetIntraParallelism).
-	intra int
-
 	mu       sync.Mutex
 	closed   bool
 	sims     map[string]*simEntry
@@ -121,9 +111,9 @@ type Engine struct {
 
 	// runnerPool holds reusable simulation machines (one per
 	// concurrently running job); a pooled steady-state run allocates
-	// nothing. A plain free-list rather than sync.Pool so Close can
-	// deterministically release every pooled Runner's worker goroutines
-	// (guarded by mu together with closed).
+	// nothing. A plain free-list rather than sync.Pool so Close can drop
+	// every pooled Runner at once and keep runners returned afterwards
+	// out of it (guarded by mu together with closed).
 	runnerPool []*sim.Runner
 
 	// obs, when set, receives scheduling notifications (see Observer).
@@ -188,28 +178,6 @@ func New(parallelism int) *Engine {
 // Parallelism returns the worker bound.
 func (e *Engine) Parallelism() int { return e.parallelism }
 
-// SetIntraParallelism makes every job that leaves Config.IntraParallelism
-// unset run with n producer shards, and narrows the worker pool so
-// run-level times intra-run concurrency stays within the engine's
-// budget instead of oversubscribing the host. An explicit per-job
-// setting still wins. Call before submitting work; it must not change
-// while jobs are in flight. n <= 1 restores serial runs at full
-// run-level parallelism.
-func (e *Engine) SetIntraParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.intra = n
-	workers := e.parallelism / n
-	if workers < 1 {
-		workers = 1
-	}
-	e.sem = make(chan struct{}, workers)
-}
-
-// IntraParallelism returns the default per-run shard count.
-func (e *Engine) IntraParallelism() int { return e.intra }
-
 // SimulationsRun returns how many simulations actually executed —
 // submissions minus memoization and store hits — for dedup telemetry and
 // tests.
@@ -252,36 +220,28 @@ func (e *Engine) runner() *sim.Runner {
 	return sim.NewRunner()
 }
 
-// putRunner returns a machine to the pool, or releases it outright when
-// the engine has been closed.
+// putRunner returns a machine to the pool, or drops it when the engine
+// has been closed.
 func (e *Engine) putRunner(r *sim.Runner) {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		r.Close()
-		return
+	if !e.closed {
+		e.runnerPool = append(e.runnerPool, r)
 	}
-	e.runnerPool = append(e.runnerPool, r)
 	e.mu.Unlock()
 }
 
-// Close releases every pooled simulation machine's worker goroutines
-// (the intra producers). Call it when the engine's
-// owner is done submitting work; jobs still in flight return their
-// runners afterwards and those are released on return. A closed engine
-// remains usable — later jobs simply build fresh runners — so Close is
-// a resource release, not a shutdown. (The process-wide Default engine
-// is deliberately never closed; its runners live as long as the
-// process, with the Runner finalizer as the backstop.)
+// Close drops every pooled simulation machine, so the memory they hold
+// can be collected. Call it when the engine's owner is done submitting
+// work; jobs still in flight drop their runners on return instead of
+// pooling them. A closed engine remains usable — later jobs simply
+// build fresh runners — so Close is a resource release, not a shutdown.
+// (The process-wide Default engine is deliberately never closed; its
+// pooled runners live as long as the process.)
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
-	pool := e.runnerPool
 	e.runnerPool = nil
 	e.mu.Unlock()
-	for _, r := range pool {
-		r.Close()
-	}
 }
 
 var (
@@ -360,16 +320,9 @@ func (e *Engine) start(ctx context.Context, job Job) *simEntry {
 		e.runs.Add(1)
 		e.notify(EventSimStart, key)
 		r := e.runner()
-		cfg := job.Config
-		if cfg.IntraParallelism == 0 {
-			// The engine-wide default applies only where the job didn't
-			// choose; either way the key above is agnostic to this
-			// execution knob.
-			cfg.IntraParallelism = e.intra
-		}
 		// The pooled runner reuses its result buffers next run, so the
 		// memoized copy must own its memory.
-		en.res = copyResult(r.Run(job.Spec, job.Scale, cfg))
+		en.res = copyResult(r.Run(job.Spec, job.Scale, job.Config))
 		e.putRunner(r)
 		if e.store != nil {
 			e.store.PutResult(key, en.res)

@@ -12,55 +12,12 @@ import (
 	"tifs/internal/workload"
 )
 
-// TestJobKeyIgnoresIntraParallelism: intra-run sharding never changes
-// output bytes, so jobs differing only in that knob must share one
-// identity — one memo entry, one store address, one sweep grid point.
-func TestJobKeyIgnoresIntraParallelism(t *testing.T) {
-	oltp := spec(t, "OLTP-DB2")
-	a := job(oltp, sim.Baseline())
-	b := a
-	b.Config.IntraParallelism = 8
-	if a.Key() != b.Key() {
-		t.Errorf("keys diverge on IntraParallelism:\n%s\n%s", a.Key(), b.Key())
-	}
-
-	e := New(4)
-	res := e.RunAll(context.Background(), []Job{a, b})
-	if got := e.SimulationsRun(); got != 1 {
-		t.Errorf("intra-only variants ran %d simulations, want 1", got)
-	}
-	if !reflect.DeepEqual(res[0], res[1]) {
-		t.Error("deduplicated intra variants returned different results")
-	}
-}
-
-// TestEngineIntraDefaultMatchesSerial: an engine-wide intra default
-// produces results identical to a serial engine, and narrows the
-// worker pool per the concurrency trade.
-func TestEngineIntraDefaultMatchesSerial(t *testing.T) {
-	oltp := spec(t, "OLTP-DB2")
-	web := spec(t, "Web-Zeus")
-	jobs := []Job{job(oltp, sim.Baseline()), job(web, sim.FDIP())}
-
-	serial := New(1).RunAll(context.Background(), jobs)
-	e := New(8)
-	e.SetIntraParallelism(4)
-	if cap(e.sem) != 2 {
-		t.Errorf("worker pool = %d with parallelism 8 / intra 4, want 2", cap(e.sem))
-	}
-	intra := e.RunAll(context.Background(), jobs)
-	if !reflect.DeepEqual(serial, intra) {
-		t.Error("intra-defaulted engine diverged from serial engine")
-	}
-}
-
-// TestEngineClose: Close releases the pooled runners deterministically,
-// and a closed engine keeps working — later jobs build fresh runners
-// that are released on return rather than re-pooled.
+// TestEngineClose: Close drops the pooled runners, and a closed engine
+// keeps working — later jobs build fresh runners that are dropped on
+// return rather than re-pooled.
 func TestEngineClose(t *testing.T) {
 	oltp := spec(t, "OLTP-DB2")
 	e := New(2)
-	e.SetIntraParallelism(2)
 	a := job(oltp, sim.Baseline())
 	before := e.Run(context.Background(), a)
 	e.Close()

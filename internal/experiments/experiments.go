@@ -47,18 +47,11 @@ type Options struct {
 	// are assembled in submission order and every simulation is
 	// deterministic in its configuration.
 	Parallelism int
-	// IntraParallelism shards event generation inside each simulation
-	// across that many goroutines (sim.Config.IntraParallelism). Like
-	// Parallelism it is purely an execution knob — output bytes are
-	// identical at every setting — so it is excluded from job identity
-	// everywhere (engine keys, store addresses, sweep dedup). When both
-	// knobs are set the engine divides its worker budget so run-level
-	// times intra-run concurrency does not oversubscribe the host.
-	IntraParallelism int
 	// Engine overrides the simulation scheduler (nil selects the
-	// process-wide engine when Parallelism is 0 and Store is nil, or a
-	// fresh engine otherwise). Supplying one engine across several
-	// experiment runs shares its memoized results between them.
+	// process-wide engine when Parallelism is 0 and neither Store nor
+	// Backend is set, or a fresh engine otherwise). Supplying one
+	// engine across several experiment runs shares its memoized results
+	// between them.
 	Engine *engine.Engine
 	// Store attaches a persistent result store: simulations and miss
 	// traces already cached there are not re-run, and new ones are
@@ -94,11 +87,8 @@ func (o Options) engine() *engine.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	if o.Parallelism != 0 || o.IntraParallelism > 1 || o.Store != nil || o.Backend != nil {
+	if o.Parallelism != 0 || o.Store != nil || o.Backend != nil {
 		e := engine.New(o.Parallelism)
-		if o.IntraParallelism > 1 {
-			e.SetIntraParallelism(o.IntraParallelism)
-		}
 		if o.Backend != nil {
 			e.SetBackend(o.Backend)
 		} else {
@@ -115,10 +105,9 @@ func (o Options) job(spec workload.Spec, m sim.Mechanism) engine.Job {
 		Spec:  spec,
 		Scale: o.Scale,
 		Config: sim.Config{
-			Cores:            o.Cores,
-			EventsPerCore:    o.Events,
-			Mechanism:        m,
-			IntraParallelism: o.IntraParallelism,
+			Cores:         o.Cores,
+			EventsPerCore: o.Events,
+			Mechanism:     m,
 		},
 	}
 }

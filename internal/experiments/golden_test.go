@@ -54,12 +54,10 @@ func readGolden(t *testing.T, id string) string {
 }
 
 // TestGoldenOutputs holds every experiment to its committed small-scale
-// output, byte for byte, across serial, 8-way-parallel, and
-// intra-parallel (2/4/8 producer shards per run) execution. This is the
-// regression net under the whole sweep machinery: any change to
-// simulator semantics, table rendering, or scheduling — including the
-// intra-run event pipeline — that alters a single byte of any
-// experiment fails here.
+// output, byte for byte, under both serial and 8-way-parallel
+// execution. This is the regression net under the whole sweep
+// machinery: any change to simulator semantics, table rendering, or
+// scheduling that alters a single byte of any experiment fails here.
 func TestGoldenOutputs(t *testing.T) {
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
@@ -78,19 +76,6 @@ func TestGoldenOutputs(t *testing.T) {
 
 	serialEngine := engine.New(1)
 	parallelEngine := engine.New(8)
-	intraEngines := map[int]*engine.Engine{}
-	for _, n := range []int{2, 4, 8} {
-		e := engine.New(4)
-		e.SetIntraParallelism(n)
-		intraEngines[n] = e
-	}
-	defer func() {
-		serialEngine.Close()
-		parallelEngine.Close()
-		for _, e := range intraEngines {
-			e.Close()
-		}
-	}()
 	for _, r := range Registry() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
@@ -100,13 +85,6 @@ func TestGoldenOutputs(t *testing.T) {
 			}
 			if got := r.Run(goldenOptions(8, parallelEngine)); got != want {
 				t.Errorf("parallel output diverged from golden:\n--- golden\n%s\n--- got\n%s", want, got)
-			}
-			for _, n := range []int{2, 4, 8} {
-				o := goldenOptions(4, intraEngines[n])
-				o.IntraParallelism = n
-				if got := r.Run(o); got != want {
-					t.Errorf("intra-%d output diverged from golden:\n--- golden\n%s\n--- got\n%s", n, want, got)
-				}
 			}
 		})
 	}

@@ -36,7 +36,6 @@ func TestConservationInvariants(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			r := NewRunner()
-			defer r.Close()
 			for _, name := range names {
 				res := r.Run(spec, workload.ScaleSmall, Config{EventsPerCore: 40_000, Mechanism: mechs[name]})
 				var maxCycles, pfHits uint64

@@ -12,7 +12,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"tifs/internal/core"
 	"tifs/internal/cpu"
@@ -128,12 +127,6 @@ type Config struct {
 	Uncore uncore.Config
 	// Mechanism is the attached prefetcher.
 	Mechanism Mechanism
-	// IntraParallelism shards event generation for this one run across
-	// that many producer goroutines (clamped to Cores; 0 or 1 runs
-	// serially). It is purely an execution knob: output bytes are
-	// identical at every setting (see intra.go for the determinism
-	// model), so it never participates in result identity.
-	IntraParallelism int
 }
 
 // Result is the outcome of one simulation run.
@@ -286,12 +279,6 @@ type Runner struct {
 	heap        coreHeap
 	perCore     []cpu.Stats
 	tstats      core.TIFSStats
-
-	intra intraState
-
-	// finalizerArmed records that the backstop finalizer releasing the
-	// worker goroutines is registered (see Close).
-	finalizerArmed bool
 }
 
 // NewRunner creates an empty Runner; its pools fill on first use.
@@ -331,15 +318,6 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	}
 
 	ge := r.workload(spec, scale, cfg.Cores)
-	// With intra-run parallelism the cores read from pooled SPSC epoch
-	// rings fed by shard workers instead of the executors directly; the
-	// events delivered are identical values in identical per-core order,
-	// so everything downstream is unchanged.
-	shards := intraShards(cfg.IntraParallelism, cfg.Cores)
-	sources := ge.sources
-	if shards > 1 {
-		sources = r.pipeSources(cfg.Cores)
-	}
 	if r.un == nil {
 		r.un = uncore.New(cfg.Uncore)
 	} else {
@@ -365,10 +343,10 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 		ccfg.EventBudget = cfg.WarmupEvents + cfg.EventsPerCore
 		c := r.cores[i]
 		if c == nil {
-			c = cpu.New(i, ccfg, sources[i], nil, un)
+			c = cpu.New(i, ccfg, ge.sources[i], nil, un)
 			r.cores[i] = c
 		} else {
-			c.Reset(ccfg, sources[i])
+			c.Reset(ccfg, ge.sources[i])
 		}
 		var pf prefetch.Prefetcher
 		switch cfg.Mechanism.Kind {
@@ -445,17 +423,8 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	resetSlice(&r.warmed, cfg.Cores)
 	r.warmedCount = 0
 	r.warmTraffic = uncore.Traffic{}
-	// All setup that can panic is behind us: start the shard workers
-	// producing into the rings. They retire right after the merge loop —
-	// the cores consume the rings dry, so no worker can still be parked.
-	if shards > 1 {
-		r.startIntra(ge.sources, cfg.WarmupEvents+cfg.EventsPerCore, shards)
-	}
 	r.heap.init(cores)
-	r.mergeSerial(cfg.WarmupEvents, cfg.Cores)
-	if shards > 1 {
-		r.finishIntra()
-	}
+	r.merge(cfg.WarmupEvents, cfg.Cores)
 
 	res := Result{
 		Workload:  spec.Name,
@@ -485,12 +454,12 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	return res
 }
 
-// mergeSerial runs the min-heap schedule to completion on the calling
+// merge runs the min-heap schedule to completion on the calling
 // goroutine. Cores are interleaved in core-local time order, lowest
 // clock first with ties to the lowest index, so cross-core L2 bank
 // contention and the shared TIFS Index Table behave as they would in a
 // concurrent system.
-func (r *Runner) mergeSerial(warmupEvents uint64, nCores int) {
+func (r *Runner) merge(warmupEvents uint64, nCores int) {
 	h := &r.heap
 	cores := r.cores
 	for h.len() > 0 {
@@ -518,41 +487,6 @@ func (r *Runner) noteWarm(next int, warmupEvents uint64, nCores int) {
 	r.warmedCount++
 	if r.warmedCount == nCores {
 		r.warmTraffic = r.un.Traffic()
-	}
-}
-
-// Close releases the Runner's background worker goroutines, the
-// intra-run shard producers. It must not be called while a Run is in
-// flight. Close is idempotent, and the Runner remains usable afterwards:
-// the next run that needs workers recreates them. Owners with a
-// deterministic lifecycle (the experiment engine's runner pool, the
-// CLIs) call Close explicitly; a finalizer performs the same release as
-// a backstop for Runners dropped without it.
-func (r *Runner) Close() {
-	if r.finalizerArmed {
-		runtime.SetFinalizer(r, nil)
-		r.finalizerArmed = false
-	}
-	releaseRunnerWorkers(r)
-}
-
-// armFinalizer registers the backstop finalizer once, when the first
-// worker goroutine is created.
-func (r *Runner) armFinalizer() {
-	if !r.finalizerArmed {
-		r.finalizerArmed = true
-		runtime.SetFinalizer(r, releaseRunnerWorkers)
-	}
-}
-
-// releaseRunnerWorkers closes the channels the worker goroutines park
-// on, letting them exit. Workers hold only the channel while parked —
-// never the Runner — so the finalizer can fire and still reach here.
-func releaseRunnerWorkers(r *Runner) {
-	if r.intra.work != nil {
-		close(r.intra.work)
-		r.intra.work = nil
-		r.intra.workers = 0
 	}
 }
 

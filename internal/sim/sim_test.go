@@ -272,30 +272,21 @@ func TestRunnerSteadyStateZeroAlloc(t *testing.T) {
 		{"perfect", Perfect()},
 		{"probabilistic", Probabilistic(0.6)},
 	} {
-		// The intra tier may not reintroduce per-run allocations: its
-		// rings, producers, and tasks are all pooled in the Runner.
-		for _, intra := range []int{0, 4} {
-			name := tc.name
-			if intra > 0 {
-				name += "/intra-4"
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner()
+			cfg := Config{
+				EventsPerCore: 12_000,
+				WarmupEvents:  3_000,
+				Mechanism:     tc.mech,
 			}
-			t.Run(name, func(t *testing.T) {
-				r := NewRunner()
-				cfg := Config{
-					EventsPerCore:    12_000,
-					WarmupEvents:     3_000,
-					Mechanism:        tc.mech,
-					IntraParallelism: intra,
-				}
-				r.Run(spec, workload.ScaleSmall, cfg) // reach steady-state capacity
-				allocs := testing.AllocsPerRun(2, func() {
-					r.Run(spec, workload.ScaleSmall, cfg)
-				})
-				if allocs != 0 {
-					t.Errorf("steady-state run allocated %.1f times, want 0", allocs)
-				}
+			r.Run(spec, workload.ScaleSmall, cfg) // reach steady-state capacity
+			allocs := testing.AllocsPerRun(2, func() {
+				r.Run(spec, workload.ScaleSmall, cfg)
 			})
-		}
+			if allocs != 0 {
+				t.Errorf("steady-state run allocated %.1f times, want 0", allocs)
+			}
+		})
 	}
 }
 

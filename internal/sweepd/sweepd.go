@@ -103,13 +103,6 @@ type JobRequest struct {
 	Scale  string `json:"scale,omitempty"`  // small|medium|full (default small)
 	Events uint64 `json:"events,omitempty"` // per-core budget (0 = scale default)
 	Cores  int    `json:"cores,omitempty"`  // CMP width (default 4)
-
-	// IntraParallelism shards event generation inside each simulation
-	// across that many producer goroutines (0/1 = serial). Like the
-	// engine's run-level parallelism it never changes output bytes, so
-	// it is deliberately excluded from the canonical key: submissions
-	// differing only here collapse onto one job.
-	IntraParallelism int `json:"intra_parallelism,omitempty"`
 }
 
 // Event is one progress notification on a job's stream.
@@ -396,9 +389,6 @@ func canonicalize(req JobRequest) (JobRequest, workload.Scale, string, error) {
 	if req.Cores <= 0 {
 		req.Cores = 4
 	}
-	if req.IntraParallelism < 0 {
-		req.IntraParallelism = 0
-	}
 
 	if req.Workload != "" || req.Mechanism != "" {
 		// Simulation form.
@@ -608,7 +598,6 @@ func (s *Service) runSweep(j *job) (string, error) {
 	o := experiments.Options{
 		Context: s.ctx, Scale: j.scale, Events: j.req.Events, Cores: j.req.Cores,
 		Workloads: j.req.Workloads, Engine: s.eng,
-		IntraParallelism: j.req.IntraParallelism,
 	}
 	return experiments.RunSelected(j.req.Experiments, o, func(id string, done bool) {
 		if done {
@@ -630,13 +619,11 @@ func (s *Service) runSimulation(j *job) (string, error) {
 	}
 	jobs := []engine.Job{{Spec: spec, Scale: j.scale, Config: sim.Config{
 		Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: mech,
-		IntraParallelism: j.req.IntraParallelism,
 	}}}
 	withBaseline := j.req.Baseline && mech.Kind != sim.KindNone
 	if withBaseline {
 		jobs = append(jobs, engine.Job{Spec: spec, Scale: j.scale, Config: sim.Config{
 			Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: sim.Baseline(),
-			IntraParallelism: j.req.IntraParallelism,
 		}})
 	}
 	results := s.eng.RunAll(s.ctx, jobs)
@@ -701,6 +688,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "request too large", http.StatusRequestEntityTooLarge)
 		return
 	}
+	// Unknown fields are ignored on purpose: older clients still send
+	// fields the request has since dropped, and their submissions must
+	// keep joining the same jobs.
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, "malformed job request: "+err.Error(), http.StatusBadRequest)
 		return

@@ -413,35 +413,6 @@ func TestCanonicalization(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", norm)
 	}
 
-	// IntraParallelism is an execution knob, not an output knob: it must
-	// never reach either key form, and a negative value normalizes away.
-	for _, base := range []JobRequest{
-		{Workload: "Web-Zeus"},
-		{Experiments: []string{"fig1"}},
-	} {
-		_, _, serialKey, err := canonicalize(base)
-		if err != nil {
-			t.Fatalf("canonicalize %+v: %v", base, err)
-		}
-		intra := base
-		intra.IntraParallelism = 8
-		_, _, intraKey, err := canonicalize(intra)
-		if err != nil {
-			t.Fatalf("canonicalize %+v: %v", intra, err)
-		}
-		if serialKey != intraKey {
-			t.Errorf("intra_parallelism leaked into the canonical key: %q != %q", serialKey, intraKey)
-		}
-	}
-	neg := JobRequest{Workload: "Web-Zeus", IntraParallelism: -3}
-	n2, _, _, err := canonicalize(neg)
-	if err != nil {
-		t.Fatalf("negative intra request: %v", err)
-	}
-	if n2.IntraParallelism != 0 {
-		t.Errorf("negative IntraParallelism normalized to %d, want 0", n2.IntraParallelism)
-	}
-
 	for _, bad := range []JobRequest{
 		{Experiments: []string{"nope"}},
 		{Workloads: []string{"nope"}},
@@ -457,35 +428,49 @@ func TestCanonicalization(t *testing.T) {
 	}
 }
 
-// TestIntraSubmissionsDedupe: submissions differing only in
-// intra_parallelism join one job and see one byte-identical output —
-// the service-level proof that the knob stays out of job identity.
-func TestIntraSubmissionsDedupe(t *testing.T) {
+// TestLegacyFieldSubmissionJoinsJob: clients built when jobs still had
+// an in-run producer-shard knob send a field the request no longer
+// has. The decoder ignores unknown fields, so such a submission is
+// accepted and joins the plain job with byte-identical output.
+func TestLegacyFieldSubmissionJoinsJob(t *testing.T) {
 	req := cheapSweep()
 	want, _ := localOutput(t, req)
 
 	_, ts := startService(t, "", Config{Parallelism: 2})
-	serial := submitAndWait(t, ts, "alice", req)
-	if serial.Output != want {
-		t.Fatalf("serial output differs from local run:\n--- want\n%s\n--- got\n%s", want, serial.Output)
+	plain := submitAndWait(t, ts, "alice", req)
+	if plain.Output != want {
+		t.Fatalf("plain output differs from local run:\n--- want\n%s\n--- got\n%s", want, plain.Output)
 	}
 
-	intra := req
-	intra.IntraParallelism = 4
-	c := NewClient(ts.URL, nil)
-	c.Name = "bob"
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	st, err := c.Submit(ctx, intra)
+	body, err := json.Marshal(req)
 	if err != nil {
-		t.Fatalf("intra submit: %v", err)
+		t.Fatal(err)
 	}
-	if !st.Deduped || st.ID != serial.ID {
-		t.Errorf("intra variant created a new job (deduped=%v id=%s, want join of %s)",
-			st.Deduped, st.ID, serial.ID)
+	body = append(body[:len(body)-1], `,"intra_parallelism":4}`...)
+	post, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Header.Set("Content-Type", "application/json")
+	post.Header.Set("X-Tifs-Client", "bob")
+	resp, err := http.DefaultClient.Do(post)
+	if err != nil {
+		t.Fatalf("legacy submit: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy submission answered %s, want 200 (a join of %s)", resp.Status, plain.ID)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode status: %v", err)
+	}
+	if !st.Deduped || st.ID != plain.ID {
+		t.Errorf("legacy submission created a new job (deduped=%v id=%s, want join of %s)",
+			st.Deduped, st.ID, plain.ID)
 	}
 	if st.Output != want {
-		t.Errorf("deduped intra submission returned different output")
+		t.Errorf("legacy submission returned different output")
 	}
 }
 

@@ -480,8 +480,9 @@ func NewSimEngine(parallelism int, st *ResultStore) *SimEngine {
 }
 
 // ExperimentOptions scope an experiment run. Parallelism bounds how many
-// simulations run concurrently (0 = GOMAXPROCS, 1 = serial); rendered
-// tables are byte-identical at every setting.
+// simulations, and how many of an analysis figure's workloads, run
+// concurrently (0 = GOMAXPROCS, 1 = serial); rendered tables are
+// byte-identical at every setting.
 type ExperimentOptions = experiments.Options
 
 // Experiment is a named, runnable reproduction of one paper table or
