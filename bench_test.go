@@ -93,16 +93,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkSimulatorThroughputPooled is BenchmarkSimulatorThroughput
 // through a reused SimRunner — the configuration the experiment engine
-// actually runs — once per mechanism family: the next-line baseline,
-// FDIP (the one prefetcher that reads the fetch-target queue), and
-// TIFS. Steady-state iterations perform zero heap allocations (the
+// actually runs — once per mechanism a single simulation point runs: the
+// next-line baseline, FDIP (the one prefetcher that reads the
+// fetch-target queue), the discontinuity predictor, TIFS and perfect
+// streaming. Steady-state iterations perform zero heap allocations (the
 // -benchmem columns are the regression signal for that).
 func BenchmarkSimulatorThroughputPooled(b *testing.B) {
 	spec, err := tifs.WorkloadByName("OLTP-DB2")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"next-line", "fdip", "tifs-virtualized"} {
+	for _, name := range []string{"next-line", "fdip", "discontinuity", "tifs-virtualized", "perfect"} {
 		mech, err := tifs.MechanismByName(name)
 		if err != nil {
 			b.Fatal(err)

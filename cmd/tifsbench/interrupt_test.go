@@ -67,7 +67,9 @@ func TestInterruptedShardWorkerReleasesLeaseAndMergeCompletes(t *testing.T) {
 	base := []string{"-experiment", "all", "-scale", "small", "-events", "8000"}
 
 	// Start shard worker 0/2 and interrupt it shortly after the sweep
-	// grid is announced (work is in flight from that point on).
+	// grid is announced (work is in flight from that point on). The
+	// whole shard takes about 0.3 s at this budget, so a longer
+	// wait lets it finish before the signal lands.
 	worker := exec.Command(bin, append(append([]string{}, base...), "-cache-dir", cacheDir, "-shard", "0/2")...)
 	stderr := &watchWriter{started: make(chan struct{}), marker: "sweep grid:"}
 	worker.Stderr = stderr
@@ -80,7 +82,7 @@ func TestInterruptedShardWorkerReleasesLeaseAndMergeCompletes(t *testing.T) {
 		worker.Process.Kill()
 		t.Fatal("worker never announced the sweep grid")
 	}
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(20 * time.Millisecond)
 	if err := worker.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}

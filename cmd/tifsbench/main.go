@@ -172,6 +172,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	if *cores < 0 || *cores > tifs.MaxCores {
+		fmt.Fprintf(os.Stderr, "-cores %d: want 0 (the default 4) to %d\n", *cores, tifs.MaxCores)
+		return 2
+	}
 	ctx, stop := signalContext()
 	defer stop()
 	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel}

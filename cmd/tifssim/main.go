@@ -79,6 +79,10 @@ func run() int {
 		return 0
 	}
 
+	if *cores < 0 || *cores > tifs.MaxCores {
+		fmt.Fprintf(os.Stderr, "-cores %d: want 0 (the default 4) to %d\n", *cores, tifs.MaxCores)
+		return 2
+	}
 	spec, err := tifs.WorkloadByName(*name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

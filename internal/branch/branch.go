@@ -157,10 +157,6 @@ func NewHybrid(entries int) *Hybrid {
 	return h
 }
 
-// NewDefaultHybrid returns the paper's configuration: 16K gShare and 16K
-// bimodal entries.
-func NewDefaultHybrid() *Hybrid { return NewHybrid(16 * 1024) }
-
 // Entries returns the per-component table size the predictor was built
 // with (pooled cores reuse a predictor only when the size matches).
 func (h *Hybrid) Entries() int { return len(h.chooser) }
@@ -189,10 +185,20 @@ func (h *Hybrid) Predict(pc isa.Addr) bool {
 
 // Update trains both components and steers the chooser toward the one
 // that predicted correctly (no movement when they agree).
-func (h *Hybrid) Update(pc isa.Addr, taken bool) {
-	gp := h.gshare.Predict(pc)
-	bp := h.bimodal.Predict(pc)
-	ci := h.chooserIndex(pc)
+func (h *Hybrid) Update(pc isa.Addr, taken bool) { h.PredictUpdate(pc, taken) }
+
+// PredictUpdate returns Predict(pc) and then performs Update(pc, taken),
+// reading each table entry once. The chooser and the bimodal table have
+// the same size, so they share one index.
+func (h *Hybrid) PredictUpdate(pc isa.Addr, taken bool) bool {
+	g, b := h.gshare, h.bimodal
+	ci, gi := h.chooserIndex(pc), g.index(pc)
+	gc, bc := g.table[gi], b.table[ci]
+	gp, bp := gc.taken(), bc.taken()
+	pred := bp
+	if h.chooser[ci].taken() {
+		pred = gp
+	}
 	if gp != bp {
 		if gp == taken {
 			h.chooser[ci] = h.chooser[ci].inc()
@@ -200,8 +206,16 @@ func (h *Hybrid) Update(pc isa.Addr, taken bool) {
 			h.chooser[ci] = h.chooser[ci].dec()
 		}
 	}
-	h.gshare.Update(pc, taken)
-	h.bimodal.Update(pc, taken)
+	if taken {
+		g.table[gi], b.table[ci] = gc.inc(), bc.inc()
+	} else {
+		g.table[gi], b.table[ci] = gc.dec(), bc.dec()
+	}
+	g.history = (g.history << 1) & g.mask
+	if taken {
+		g.history |= 1
+	}
+	return pred
 }
 
 // BTB is a direct-mapped branch target buffer with tags, mapping branch

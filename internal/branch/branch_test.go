@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"reflect"
 	"testing"
 
 	"tifs/internal/isa"
@@ -81,7 +82,7 @@ func TestHybridBeatsWorstComponent(t *testing.T) {
 	// Mix of biased branches (bimodal-friendly) and history-dependent
 	// branches (gshare-friendly); the hybrid should approach the better
 	// component on each.
-	h := NewDefaultHybrid()
+	h := NewHybrid(16 * 1024)
 	rng := xrand.New(99)
 	biased := isa.Addr(0x100)
 	alt := isa.Addr(0x204)
@@ -115,7 +116,7 @@ func TestHybridBeatsWorstComponent(t *testing.T) {
 }
 
 func TestHybridRandomBranchNearChance(t *testing.T) {
-	h := NewDefaultHybrid()
+	h := NewHybrid(16 * 1024)
 	rng := xrand.New(7)
 	pc := isa.Addr(0x3000)
 	correct, n := 0, 4000
@@ -202,7 +203,7 @@ func TestRASPanicsOnBadDepth(t *testing.T) {
 func TestPredictorAccuracyOnBiasedStream(t *testing.T) {
 	// Overall sanity: on a stream of 90%-biased branches across many PCs,
 	// the hybrid should exceed 80% accuracy after warmup.
-	h := NewDefaultHybrid()
+	h := NewHybrid(16 * 1024)
 	rng := xrand.New(1234)
 	pcs := make([]isa.Addr, 64)
 	bias := make([]float64, 64)
@@ -233,11 +234,55 @@ func TestPredictorAccuracyOnBiasedStream(t *testing.T) {
 }
 
 func BenchmarkHybridPredictUpdate(b *testing.B) {
-	h := NewDefaultHybrid()
+	h := NewHybrid(16 * 1024)
 	rng := xrand.New(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc := isa.Addr(uint64(i%4096) * 4)
 		h.Update(pc, h.Predict(pc) != rng.Bool(0.1))
+	}
+}
+
+// refUpdate is Hybrid.Update as it was before PredictUpdate: each
+// component predicts and trains through its own methods.
+func refUpdate(h *Hybrid, pc isa.Addr, taken bool) {
+	gp := h.gshare.Predict(pc)
+	bp := h.bimodal.Predict(pc)
+	ci := h.chooserIndex(pc)
+	if gp != bp {
+		if gp == taken {
+			h.chooser[ci] = h.chooser[ci].inc()
+		} else {
+			h.chooser[ci] = h.chooser[ci].dec()
+		}
+	}
+	h.gshare.Update(pc, taken)
+	h.bimodal.Update(pc, taken)
+}
+
+// TestPredictUpdateMatchesPredictThenUpdate drives one predictor through
+// PredictUpdate, one through Update and one through Predict then
+// refUpdate over the same branches, on tables small enough to alias:
+// the answers and every table and history must agree.
+func TestPredictUpdateMatchesPredictThenUpdate(t *testing.T) {
+	for _, entries := range []int{1, 16, 1024} {
+		fused, update, ref := NewHybrid(entries), NewHybrid(entries), NewHybrid(entries)
+		rng := xrand.NewFromString("predict-update")
+		for i := 0; i < 50_000; i++ {
+			pc := isa.Addr(4 * rng.Intn(3*entries+7))
+			taken := rng.Intn(4) != 0
+			if i%3 == 0 {
+				taken = pc%12 == 0 // a biased site beside the noisy ones
+			}
+			want := ref.Predict(pc)
+			refUpdate(ref, pc, taken)
+			update.Update(pc, taken)
+			if got := fused.PredictUpdate(pc, taken); got != want {
+				t.Fatalf("entries %d branch %d: PredictUpdate = %v, Predict = %v", entries, i, got, want)
+			}
+		}
+		if !reflect.DeepEqual(fused, ref) || !reflect.DeepEqual(update, ref) {
+			t.Errorf("entries %d: tables differ after the same branches", entries)
+		}
 	}
 }

@@ -42,29 +42,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts cache activity.
-type Stats struct {
-	// Accesses is the number of demand accesses (Access calls).
-	Accesses uint64
-	// Hits is the number of demand accesses that hit.
-	Hits uint64
-	// Fills is the number of blocks inserted.
-	Fills uint64
-	// Evictions is the number of valid blocks displaced by fills.
-	Evictions uint64
-}
-
-// Misses returns demand misses.
-func (s Stats) Misses() uint64 { return s.Accesses - s.Hits }
-
-// HitRate returns the demand hit fraction (0 when idle).
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 type way struct {
 	tag   uint64
 	valid bool
@@ -80,7 +57,6 @@ type Cache struct {
 	assoc   int
 	setMask uint64
 	clock   uint64
-	stats   Stats
 }
 
 // New builds a cache; it panics on an invalid configuration (sizes are
@@ -102,20 +78,16 @@ func New(cfg Config) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Reset empties the cache and zeroes its counters, restoring the state a
-// freshly constructed cache of the same geometry would have. Pooled
-// simulation runs reuse the ways array instead of reallocating it.
+// Reset empties the cache, restoring the state a freshly constructed
+// cache of the same geometry would have. Pooled simulation runs reuse
+// the ways array instead of reallocating it.
 func (c *Cache) Reset() {
 	clear(c.ways)
 	c.clock = 0
-	c.stats = Stats{}
 }
 
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return len(c.ways) / c.assoc }
-
-// Stats returns a copy of the activity counters.
-func (c *Cache) Stats() Stats { return c.stats }
 
 // set returns the flat-array slice holding b's set.
 func (c *Cache) set(b isa.Block) []way {
@@ -135,21 +107,41 @@ func (c *Cache) find(b isa.Block) *way {
 	return nil
 }
 
+// lookup scans b's set once. It returns the way holding b, or, when b
+// is absent, the way a fill of b replaces: the first invalid way, else
+// the least recently used one. Ways fill in order and are only ever
+// invalidated all together (Reset), so the invalid ways of a set are a
+// suffix of it and the scan can stop at the first.
+func (c *Cache) lookup(b isa.Block) (w *way, hit bool) {
+	s := c.set(b)
+	victim := &s[0]
+	for i := range s {
+		if !s[i].valid {
+			return &s[i], false
+		}
+		if s[i].tag == uint64(b) {
+			return &s[i], true
+		}
+		if s[i].used < victim.used {
+			victim = &s[i]
+		}
+	}
+	return victim, false
+}
+
 // Access performs a demand lookup for b, updating LRU on a hit, and
 // reports whether it hit. A miss does not fill; the caller decides when
 // the fill completes (see Fill).
 func (c *Cache) Access(b isa.Block) bool {
-	c.stats.Accesses++
 	c.clock++
 	if w := c.find(b); w != nil {
-		c.stats.Hits++
 		w.used = c.clock
 		return true
 	}
 	return false
 }
 
-// Contains probes for b without touching LRU or statistics.
+// Contains probes for b without touching LRU.
 func (c *Cache) Contains(b isa.Block) bool { return c.find(b) != nil }
 
 // Fill inserts b, evicting the LRU way if the set is full. It returns the
@@ -157,50 +149,24 @@ func (c *Cache) Contains(b isa.Block) bool { return c.find(b) != nil }
 // present block refreshes its LRU stamp only.
 func (c *Cache) Fill(b isa.Block) (evicted isa.Block, ok bool) {
 	c.clock++
-	if w := c.find(b); w != nil {
-		w.used = c.clock
-		return 0, false
+	w, hit := c.lookup(b)
+	if !hit && w.valid {
+		evicted, ok = isa.Block(w.tag), true
 	}
-	c.stats.Fills++
-	s := c.set(b)
-	victim := &s[0]
-	for i := range s {
-		if !s[i].valid {
-			victim = &s[i]
-			break
-		}
-		if s[i].used < victim.used {
-			victim = &s[i]
-		}
-	}
-	var evictedBlock isa.Block
-	hadVictim := victim.valid
-	if hadVictim {
-		c.stats.Evictions++
-		evictedBlock = isa.Block(victim.tag)
-	}
-	victim.tag = uint64(b)
-	victim.valid = true
-	victim.used = c.clock
-	return evictedBlock, hadVictim
+	w.tag, w.valid, w.used = uint64(b), true, c.clock
+	return evicted, ok
 }
 
-// Invalidate removes b if present and reports whether it was present.
-func (c *Cache) Invalidate(b isa.Block) bool {
-	if w := c.find(b); w != nil {
-		w.valid = false
-		return true
+// FillIfAbsent inserts b unless it is resident, in one set scan, and
+// reports whether it inserted. Its clock and LRU effects are those of
+// Contains followed, on a miss, by Fill: a resident block is left as it
+// was.
+func (c *Cache) FillIfAbsent(b isa.Block) bool {
+	w, hit := c.lookup(b)
+	if hit {
+		return false
 	}
-	return false
-}
-
-// Occupancy returns the number of valid blocks currently resident.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.ways {
-		if c.ways[i].valid {
-			n++
-		}
-	}
-	return n
+	c.clock++
+	w.tag, w.valid, w.used = uint64(b), true, c.clock
+	return true
 }

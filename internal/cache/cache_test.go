@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -53,29 +54,31 @@ func TestMissThenFillThenHit(t *testing.T) {
 	if c.Access(b) {
 		t.Error("cold access should miss")
 	}
-	c.Fill(b)
+	if ev, ok := c.Fill(b); ok {
+		t.Errorf("fill of an empty set evicted %v", ev)
+	}
 	if !c.Access(b) {
 		t.Error("access after fill should hit")
 	}
-	st := c.Stats()
-	if st.Accesses != 2 || st.Hits != 1 || st.Misses() != 1 || st.Fills != 1 {
-		t.Errorf("stats = %+v", st)
+	if !c.Access(b) {
+		t.Error("second access should hit")
 	}
 }
 
 func TestContainsDoesNotDisturb(t *testing.T) {
 	c := small(t)
-	b := isa.Block(4) // set 0 in a 4-set cache
-	c.Fill(b)
-	before := c.Stats()
-	if !c.Contains(b) {
+	b0, b4, b8 := isa.Block(0), isa.Block(4), isa.Block(8) // all set 0
+	c.Fill(b0)
+	c.Fill(b4)
+	// Probing the LRU block must not refresh it: b0 stays the victim.
+	if !c.Contains(b0) {
 		t.Error("Contains should find filled block")
 	}
 	if c.Contains(isa.Block(99999)) {
 		t.Error("Contains found absent block")
 	}
-	if c.Stats() != before {
-		t.Error("Contains changed stats")
+	if ev, ok := c.Fill(b8); !ok || ev != b0 {
+		t.Errorf("evicted %v,%v; want %v (Contains refreshed LRU)", ev, ok, b0)
 	}
 }
 
@@ -101,38 +104,34 @@ func TestFillExistingRefreshesLRU(t *testing.T) {
 	b0, b4, b8 := isa.Block(0), isa.Block(4), isa.Block(8)
 	c.Fill(b0)
 	c.Fill(b4)
-	c.Fill(b0) // refresh b0: b4 becomes LRU
+	// Re-filling a resident block refreshes it and evicts nothing.
+	if ev, ok := c.Fill(b0); ok {
+		t.Errorf("re-fill of a resident block evicted %v", ev)
+	}
 	if ev, ok := c.Fill(b8); !ok || ev != b4 {
 		t.Errorf("evicted %v,%v; want %v", ev, ok, b4)
 	}
-	// Re-filling an existing block must not count as a fill.
-	st := c.Stats()
-	if st.Fills != 3 {
-		t.Errorf("Fills = %d, want 3", st.Fills)
-	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := small(t)
-	b := isa.Block(7)
-	c.Fill(b)
-	if !c.Invalidate(b) {
-		t.Error("Invalidate should report presence")
+// resident counts the blocks of blocks that c holds.
+func resident(c *Cache, blocks []isa.Block) int {
+	n := 0
+	for _, b := range blocks {
+		if c.Contains(b) {
+			n++
+		}
 	}
-	if c.Contains(b) {
-		t.Error("block still present after Invalidate")
-	}
-	if c.Invalidate(b) {
-		t.Error("second Invalidate should report absence")
-	}
+	return n
 }
 
 func TestOccupancyBounded(t *testing.T) {
 	c := small(t)
+	var filled []isa.Block
 	for i := 0; i < 1000; i++ {
+		filled = append(filled, isa.Block(i*3))
 		c.Fill(isa.Block(i * 3))
 	}
-	if occ := c.Occupancy(); occ != 8 {
+	if occ := resident(c, filled); occ != 8 {
 		t.Errorf("occupancy = %d, want full (8)", occ)
 	}
 }
@@ -209,21 +208,56 @@ func TestPropertyMostRecentAlwaysResident(t *testing.T) {
 	}
 }
 
-// Property: occupancy never exceeds capacity, and stats stay consistent
-// (hits <= accesses, evictions <= fills).
+// Property: the resident blocks are exactly the fills of absent blocks
+// less the evictions Fill reports, and never exceed capacity.
 func TestPropertyStatsConsistent(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c := New(Config{SizeBytes: 8 * isa.BlockBytes, Assoc: 2})
+		universe := make([]isa.Block, 32)
+		for i := range universe {
+			universe[i] = isa.Block(i)
+		}
+		fills, evictions := 0, 0
 		for _, op := range ops {
 			b := isa.Block(op % 32)
 			if !c.Access(b) {
-				c.Fill(b)
+				fills++
+				if _, ok := c.Fill(b); ok {
+					evictions++
+				}
 			}
 		}
-		st := c.Stats()
-		return c.Occupancy() <= 8 &&
-			st.Hits <= st.Accesses &&
-			st.Evictions <= st.Fills
+		occ := resident(c, universe)
+		return occ <= 8 && occ == fills-evictions
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: FillIfAbsent leaves a cache in the state Contains followed,
+// on a miss, by Fill does, and reports whether it inserted.
+func TestFillIfAbsentMatchesContainsThenFill(t *testing.T) {
+	f := func(ops []uint16) bool {
+		a := New(Config{SizeBytes: 8 * isa.BlockBytes, Assoc: 2})
+		b := New(Config{SizeBytes: 8 * isa.BlockBytes, Assoc: 2})
+		for _, op := range ops {
+			blk := isa.Block(op % 32)
+			if op&0x8000 != 0 {
+				if a.Access(blk) != b.Access(blk) {
+					return false
+				}
+				continue
+			}
+			absent := !b.Contains(blk)
+			if absent {
+				b.Fill(blk)
+			}
+			if a.FillIfAbsent(blk) != absent {
+				return false
+			}
+		}
+		return a.clock == b.clock && reflect.DeepEqual(a.ways, b.ways)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -277,20 +311,6 @@ func TestPropertyMatchesReferenceLRU(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	c := small(t)
-	if c.Stats().HitRate() != 0 {
-		t.Error("idle hit rate should be 0")
-	}
-	b := isa.Block(1)
-	c.Access(b)
-	c.Fill(b)
-	c.Access(b)
-	if got := c.Stats().HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %f, want 0.5", got)
 	}
 }
 

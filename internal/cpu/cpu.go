@@ -202,10 +202,12 @@ func (nl *nlBuffer) remove(s uint8) {
 }
 
 // insert adds b, which must be absent, evicting the earliest-inserted
-// entry when the buffer is full.
-func (nl *nlBuffer) insert(b isa.Block, ready uint64) {
+// entry when the buffer is full. It returns the evicted block, if any.
+func (nl *nlBuffer) insert(b isa.Block, ready uint64) (victim isa.Block, evicted bool) {
 	if nl.live == nlCapacity {
-		nl.remove(nl.newer[0])
+		oldest := nl.newer[0]
+		victim, evicted = nl.block[oldest], true
+		nl.remove(oldest)
 	}
 	s := nl.free
 	if s != 0 {
@@ -224,6 +226,7 @@ func (nl *nlBuffer) insert(b isa.Block, ready uint64) {
 	nl.newer[s] = 0
 	nl.older[0] = s
 	nl.live++
+	return victim, evicted
 }
 
 // nextOnly adapts a source without NextBatch to isa.BatchSource, one
@@ -268,6 +271,13 @@ type Core struct {
 	head   int
 
 	nl nlBuffer
+	// nlLast is the block of the last nlIssue call. nlCovered reports
+	// that the call left every block up to NextLineDepth after it in the
+	// L1 or the next-line buffer; it stays false when the L1 has too few
+	// sets for the memo to be exact (see nlIssue).
+	nlLast    isa.Block
+	nlCovered bool
+	nlMemo    bool // l1.NumSets() > NextLineDepth
 
 	execAcc float64 // fractional execution cycles
 	execCPI float64 // hoisted 1/Width + BackendCPI (same expression tree)
@@ -293,6 +303,7 @@ func New(id int, cfg Config, src isa.EventSource, pf prefetch.Prefetcher, un *un
 		window:  make([]isa.BlockEvent, 0, 2*cfg.WindowEvents),
 		execCPI: 1.0/float64(cfg.Width) + cfg.BackendCPI,
 	}
+	c.nlMemo = c.l1.NumSets() > cfg.NextLineDepth
 	c.bindSource(src, cfg.EventBudget)
 	c.SetPrefetcher(pf)
 	return c
@@ -337,6 +348,8 @@ func (c *Core) Reset(cfg Config, src isa.EventSource) {
 	}
 	c.head = 0
 	c.nl = nlBuffer{}
+	c.nlLast, c.nlCovered = 0, false
+	c.nlMemo = c.l1.NumSets() > cfg.NextLineDepth
 	c.execAcc = 0
 	c.execCPI = 1.0/float64(cfg.Width) + cfg.BackendCPI
 	c.dataAcc = 0
@@ -403,15 +416,32 @@ func (c *Core) fillWindow() {
 	}
 }
 
-// nlIssue starts next-line prefetches for the blocks after b.
+// nlIssue starts next-line prefetches for the NextLineDepth blocks after
+// b that are in neither the L1 nor the next-line buffer, and records b
+// in the memo. When the previous call, for block nlLast, left its blocks
+// covered and b is 1 to NextLineDepth blocks past it, the blocks up to
+// nlLast+NextLineDepth are still covered and only the ones past them are
+// probed: between the two calls the fetch of b changed the L1 only in
+// b's set, which with more sets than NextLineDepth holds none of them,
+// and the next-line buffer only by taking b.
 func (c *Core) nlIssue(b isa.Block, now uint64) {
-	for d := 1; d <= c.cfg.NextLineDepth; d++ {
-		nb := b + isa.Block(d)
+	depth := isa.Block(c.cfg.NextLineDepth)
+	d := isa.Block(1)
+	if k := b - c.nlLast; c.nlCovered && k-1 < depth {
+		d = depth - k + 1
+	}
+	covered := c.nlMemo
+	for ; d <= depth; d++ {
+		nb := b + d
 		if c.l1.Contains(nb) || c.nl.contains(nb) {
 			continue
 		}
-		c.nl.insert(nb, c.un.ReadBlock(c.ID, nb, now, uncore.TrafficNextLine))
+		ready := c.un.ReadBlock(c.ID, nb, now, uncore.TrafficNextLine)
+		if victim, ok := c.nl.insert(nb, ready); ok && victim-b-1 < depth {
+			covered = false // a full buffer evicted a block this call covers
+		}
 	}
+	c.nlLast, c.nlCovered = b, covered
 }
 
 // stall advances the clock by the exposed portion of a fetch delay and
@@ -459,11 +489,25 @@ func (c *Core) Step() bool {
 	// with a merged MSHR: it stalls for the residual latency and is
 	// reported as a miss so TIFS logs it — this is how temporal streaming
 	// comes to cover the sequential blocks after a discontinuity that
-	// next-line cannot fetch timely (Sections 3.1, 7).
+	// next-line cannot fetch timely (Sections 3.1, 7). The next-line memo
+	// (nlLast, nlCovered) spares repeated work: a fetch of the block
+	// fetched last skips the L1 access and nlIssue, and nlIssue probes
+	// only blocks the previous call did not cover.
 	first := ev.PC.Block()
 	last := ev.LastPC().Block()
 	for b := first; b <= last; b++ {
 		c.stats.BlockFetches++
+		if b == c.nlLast && c.nlCovered {
+			// The last block fetched again: nothing has touched the L1 or
+			// the next-line buffer since its fetch, so it hits and is
+			// already the most recently used block of its set, and
+			// nlIssue would find its blocks covered and change nothing.
+			c.stats.L1Hits++
+			if !c.pfNone {
+				c.pf.OnFetchBlock(b, prefetch.FetchL1Hit, c.cycle)
+			}
+			continue
+		}
 		var outcome prefetch.FetchOutcome
 		switch {
 		case c.l1.Access(b):
@@ -519,11 +563,10 @@ func (c *Core) Step() bool {
 	// Resolve the terminator.
 	if ev.Kind.IsConditional() {
 		c.stats.Branches++
-		if c.pred.Predict(ev.LastPC()) != ev.Taken {
+		if c.pred.PredictUpdate(ev.LastPC(), ev.Taken) != ev.Taken {
 			c.stats.BranchMispredicts++
 			c.cycle += uint64(c.cfg.MispredictPenalty)
 		}
-		c.pred.Update(ev.LastPC(), ev.Taken)
 	}
 
 	if !c.pfNone {

@@ -79,6 +79,9 @@ type FDIP struct {
 	buffer   []fdipEntry
 	explored int // leading window events already explored
 	blocked  int // events until a mispredicted branch resolves (0 = free)
+	// trained is set when a retiring branch or call trains the predictor
+	// and cleared once a walk has re-predicted the whole explored prefix.
+	trained bool
 
 	stats Stats
 }
@@ -115,6 +118,7 @@ func (f *FDIP) Reset(cfg FDIPConfig) {
 	f.cfg = cfg
 	f.explored = 0
 	f.blocked = 0
+	f.trained = false
 	f.stats = Stats{}
 }
 
@@ -146,6 +150,11 @@ func (f *FDIP) predictable(ev isa.BlockEvent) (ok, conditional bool) {
 // buffer. A mispredicted branch discards the predicted path; exploration
 // cannot restart until the branch resolves — i.e., until the fetch unit
 // consumes it (the paper's Section 3.2 restart behaviour).
+//
+// Each step re-walks the explored prefix to sum the budget. Every event
+// in it was predicted correctly by an earlier walk, and predictions
+// change only when OnEvent trains, so while trained is clear the walk
+// counts the prefix's budget without predicting it again.
 func (f *FDIP) OnWindow(window []isa.BlockEvent, now uint64) {
 	if f.explored > 0 {
 		f.explored-- // the window advanced by one event
@@ -156,7 +165,15 @@ func (f *FDIP) OnWindow(window []isa.BlockEvent, now uint64) {
 	}
 	instrs, branches, advanced := 0, 0, 0
 	for i := 1; i < len(window); i++ {
-		ok, cond := f.predictable(window[i-1])
+		var ok, cond bool
+		if i < f.explored && !f.trained {
+			ok, cond = true, window[i-1].Kind == isa.CTBranch
+		} else {
+			if i >= f.explored {
+				f.trained = false // the whole prefix is predicted again
+			}
+			ok, cond = f.predictable(window[i-1])
+		}
 		if !ok {
 			// The predicted path diverges here: fetch a few wrong-path
 			// blocks (pollution + wasted bandwidth), then stall until the
@@ -191,6 +208,7 @@ func (f *FDIP) OnWindow(window []isa.BlockEvent, now uint64) {
 		f.explored = i + 1
 		advanced++
 	}
+	f.trained = false
 }
 
 // wrongPath fetches blocks down the not-taken (or spuriously-taken) path
@@ -259,8 +277,10 @@ func (f *FDIP) OnEvent(ev isa.BlockEvent, now uint64) {
 	switch ev.Kind {
 	case isa.CTBranch:
 		f.pred.Update(ev.LastPC(), ev.Taken)
+		f.trained = true
 	case isa.CTCall:
 		f.lastTarget.Put(uint64(ev.LastPC()), uint64(ev.Target))
+		f.trained = true
 	}
 }
 

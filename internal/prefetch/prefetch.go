@@ -110,7 +110,8 @@ type Prefetcher interface {
 	// Name identifies the configuration in experiment output.
 	Name() string
 	// OnWindow exposes the upcoming event window for run-ahead
-	// exploration. window[0] is the next event to execute.
+	// exploration. window[0] is the next event to execute; each call's
+	// window starts one event after the previous call's.
 	OnWindow(window []isa.BlockEvent, now uint64)
 	// OnFetchBlock notifies of a demand block fetch and its outcome.
 	OnFetchBlock(b isa.Block, outcome FetchOutcome, now uint64)

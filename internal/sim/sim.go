@@ -111,7 +111,7 @@ var probNames = func() (names [101]string) {
 
 // Config describes one simulation.
 type Config struct {
-	// Cores is the CMP width (default 4, as Table II).
+	// Cores is the CMP width (default 4, as Table II; at most MaxCores).
 	Cores int
 	// EventsPerCore bounds the measured trace length (0 selects the
 	// workload scale's default).
@@ -276,7 +276,7 @@ type Runner struct {
 	warmed      []bool
 	warmedCount int
 	warmTraffic uncore.Traffic
-	heap        coreHeap
+	keys        []uint64
 	perCore     []cpu.Stats
 	tstats      core.TIFSStats
 }
@@ -306,6 +306,9 @@ func (r *Runner) workload(spec workload.Spec, scale workload.Scale, cores int) *
 func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Result {
 	if cfg.Cores == 0 {
 		cfg.Cores = 4
+	}
+	if cfg.Cores < 0 || cfg.Cores > MaxCores {
+		panic(fmt.Sprintf("sim: %d cores, want 1 to %d", cfg.Cores, MaxCores))
 	}
 	if cfg.EventsPerCore == 0 {
 		cfg.EventsPerCore = scale.DefaultEvents()
@@ -414,16 +417,12 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 
 	// Interleave cores in core-local time order, snapshotting each core's
 	// counters when it crosses its warmup boundary so only steady-state
-	// behaviour is measured. Core selection uses an indexed min-heap keyed
-	// on (cycle, core index) — the same order the previous linear scan
-	// produced (lowest cycle, ties to the lowest index) at O(log cores)
-	// per step instead of O(cores).
+	// behaviour is measured.
 	warmStats := resetSlice(&r.warmStats, cfg.Cores)
 	warmPf := resetSlice(&r.warmPf, cfg.Cores)
 	resetSlice(&r.warmed, cfg.Cores)
 	r.warmedCount = 0
 	r.warmTraffic = uncore.Traffic{}
-	r.heap.init(cores)
 	r.merge(cfg.WarmupEvents, cfg.Cores)
 
 	res := Result{
@@ -454,25 +453,63 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	return res
 }
 
-// merge runs the min-heap schedule to completion on the calling
-// goroutine. Cores are interleaved in core-local time order, lowest
-// clock first with ties to the lowest index, so cross-core L2 bank
-// contention and the shared TIFS Index Table behave as they would in a
-// concurrent system.
+// merge runs the schedule to completion on the calling goroutine.
+// Cores are interleaved in core-local time order, lowest clock first
+// with ties to the lowest index, so cross-core L2 bank contention and
+// the shared TIFS Index Table behave as they would in a concurrent
+// system. Each core has one packed key (see coreKey), so the next core
+// is the minimum of at most MaxCores words.
 func (r *Runner) merge(warmupEvents uint64, nCores int) {
-	h := &r.heap
 	cores := r.cores
-	for h.len() > 0 {
-		next := h.min()
-		if !cores[next].Step() {
-			h.pop()
+	keys := resetSlice(&r.keys, nCores)
+	for i, c := range cores {
+		keys[i] = coreKey(c.Cycle(), i)
+	}
+	for {
+		key := minKey(keys)
+		if key == exhausted {
+			return
+		}
+		next := int(key & 0xff)
+		c := cores[next]
+		if !c.Step() {
+			keys[next] = exhausted
 			continue
 		}
-		h.fix() // the stepped core's clock only moved forward
+		keys[next] = coreKey(c.Cycle(), next)
 		if r.warmedCount < nCores {
 			r.noteWarm(next, warmupEvents, nCores)
 		}
 	}
+}
+
+// MaxCores is the widest CMP a Runner simulates: coreKey packs the
+// core index into the low 8 bits of its key.
+const MaxCores = 256
+
+// exhausted is the key of a core whose event source has run dry; it
+// sorts after every live core's key.
+const exhausted = math.MaxUint64
+
+// coreKey packs (clock, core index) into one word whose unsigned order
+// is the scheduler's: lowest clock first, ties to the lowest index. It
+// panics on a clock of 2^56-1 or more, which would reach the core bits
+// or the exhausted key.
+func coreKey(clock uint64, i int) uint64 {
+	if clock >= 1<<56-1 {
+		panic("sim: core clock overflows the scheduler key")
+	}
+	return clock<<8 | uint64(i)
+}
+
+// minKey returns the smallest key; unless it is exhausted, its low 8
+// bits are the index of the core to step next.
+func minKey(keys []uint64) uint64 {
+	best := keys[0]
+	for _, k := range keys[1:] {
+		best = min(best, k)
+	}
+	return best
 }
 
 // noteWarm snapshots a core's counters the first time it crosses its
@@ -550,87 +587,4 @@ func subPf(a, warm prefetch.Stats) prefetch.Stats {
 // subTraffic subtracts the warmup-era ledger.
 func subTraffic(a, warm uncore.Traffic) uncore.Traffic {
 	return a.Sub(warm)
-}
-
-// coreHeap is an indexed min-heap over cores keyed on (clock, core
-// index). The index tie-break reproduces the selection order of a linear
-// scan with a strict < comparison, keeping simulation results
-// byte-identical to the serial scheduler it replaced.
-type coreHeap struct {
-	cores []*cpu.Core
-	idx   []int
-	key   []uint64 // cached core clocks, parallel to idx
-}
-
-// init (re)builds the heap over cores, reusing its slices across pooled
-// runs.
-func (h *coreHeap) init(cores []*cpu.Core) {
-	h.cores = cores
-	n := len(cores)
-	if cap(h.idx) < n {
-		h.idx = make([]int, n)
-		h.key = make([]uint64, n)
-	} else {
-		h.idx = h.idx[:n]
-		h.key = h.key[:n]
-	}
-	for i := range h.idx {
-		h.idx[i] = i
-		h.key[i] = cores[i].Cycle()
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *coreHeap) len() int { return len(h.idx) }
-
-// min returns the index of the core with the lowest clock.
-func (h *coreHeap) min() int { return h.idx[0] }
-
-// less orders heap slots a and b by (cached clock, core index).
-func (h *coreHeap) less(a, b int) bool {
-	if h.key[a] != h.key[b] {
-		return h.key[a] < h.key[b]
-	}
-	return h.idx[a] < h.idx[b]
-}
-
-// fix restores heap order after the root's clock grew (a core's clock
-// only moves forward).
-func (h *coreHeap) fix() {
-	h.key[0] = h.cores[h.idx[0]].Cycle()
-	h.down(0)
-}
-
-// pop removes the root (an exhausted core).
-func (h *coreHeap) pop() {
-	last := len(h.idx) - 1
-	h.idx[0] = h.idx[last]
-	h.key[0] = h.key[last]
-	h.idx = h.idx[:last]
-	h.key = h.key[:last]
-	if len(h.idx) > 0 {
-		h.down(0)
-	}
-}
-
-func (h *coreHeap) down(i int) {
-	n := len(h.idx)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			return
-		}
-		h.idx[i], h.idx[m] = h.idx[m], h.idx[i]
-		h.key[i], h.key[m] = h.key[m], h.key[i]
-		i = m
-	}
 }

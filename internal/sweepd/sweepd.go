@@ -389,6 +389,9 @@ func canonicalize(req JobRequest) (JobRequest, workload.Scale, string, error) {
 	if req.Cores <= 0 {
 		req.Cores = 4
 	}
+	if req.Cores > sim.MaxCores {
+		return req, scale, "", fmt.Errorf("cores %d: at most %d", req.Cores, sim.MaxCores)
+	}
 
 	if req.Workload != "" || req.Mechanism != "" {
 		// Simulation form.

@@ -421,10 +421,34 @@ func TestCanonicalization(t *testing.T) {
 		{Mechanism: "tifs-dedicated"},
 		{Workload: "Web-Zeus", Experiments: []string{"fig1"}},
 		{Scale: "nope"},
+		{Workload: "Web-Zeus", Cores: 257},
+		{Cores: 257},
 	} {
 		if _, _, _, err := canonicalize(bad); err == nil {
 			t.Errorf("request %+v canonicalized without error", bad)
 		}
+	}
+}
+
+// TestTooManyCoresRejected: a core count past the simulator's bound is
+// a 400 at submission, before any job or simulation exists.
+func TestTooManyCoresRejected(t *testing.T) {
+	svc, ts := startService(t, "", Config{})
+	for _, body := range []string{
+		`{"workload":"Web-Zeus","events":1000,"cores":257}`,
+		`{"experiments":["fig1"],"workloads":["Web-Zeus"],"events":1000,"cores":257}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit %s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: got %s, want 400", body, resp.Status)
+		}
+	}
+	if n := svc.Engine().SimulationsRun(); n != 0 {
+		t.Errorf("rejected submissions ran %d simulations, want 0", n)
 	}
 }
 

@@ -64,6 +64,13 @@ type Extractor struct {
 	prevMiss isa.Block
 	havePrev bool
 
+	// last is the previous block fed, and haveLast whether the memo
+	// holds it: it is on only when the L1 has more sets than
+	// NextLineDepth (see Feed).
+	last     isa.Block
+	haveLast bool
+	memo     bool
+
 	accesses uint64
 	misses   uint64
 }
@@ -71,17 +78,37 @@ type Extractor struct {
 // NewExtractor creates an extractor delivering misses to onMiss.
 func NewExtractor(cfg ExtractorConfig, onMiss func(MissRecord)) *Extractor {
 	cfg = cfg.withDefaults()
+	l1 := cache.New(cfg.L1)
 	return &Extractor{
 		cfg:    cfg,
-		l1:     cache.New(cfg.L1),
+		l1:     l1,
 		onMiss: onMiss,
+		memo:   l1.NumSets() > cfg.NextLineDepth,
 	}
 }
 
 // Feed processes one fetch event.
+//
+// After a block b is fed, b and the NextLineDepth blocks after it are
+// resident, each in its own set when the L1 has more sets than
+// NextLineDepth. So a re-fetch of b hits, and b is already the most
+// recently used block of its set: it only counts the access. A fetch
+// one to NextLineDepth blocks past b fills only the blocks past b's
+// frontier.
 func (e *Extractor) Feed(ev isa.BlockEvent) {
+	depth := isa.Block(e.cfg.NextLineDepth)
 	ev.VisitBlocks(func(b isa.Block) bool {
 		e.accesses++
+		d := isa.Block(1)
+		if e.haveLast {
+			k := b - e.last
+			if k == 0 {
+				return true
+			}
+			if k-1 < depth {
+				d = depth - k + 1
+			}
+		}
 		if !e.l1.Access(b) {
 			e.misses++
 			rec := MissRecord{
@@ -100,12 +127,10 @@ func (e *Extractor) Feed(ev isa.BlockEvent) {
 		}
 		// Next-line prefetcher: keep the next NextLineDepth sequential
 		// blocks resident. Fills via prefetch are not misses.
-		for d := 1; d <= e.cfg.NextLineDepth; d++ {
-			nb := b + isa.Block(d)
-			if !e.l1.Contains(nb) {
-				e.l1.Fill(nb)
-			}
+		for ; d <= depth; d++ {
+			e.l1.FillIfAbsent(b + d)
 		}
+		e.last, e.haveLast = b, e.memo
 		return true
 	})
 	if ev.Kind.IsConditional() && !ev.InnerLoop {

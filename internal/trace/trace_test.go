@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"tifs/internal/cache"
 	"tifs/internal/isa"
 	"tifs/internal/workload"
 )
@@ -352,5 +354,80 @@ func TestLimitAndCollect(t *testing.T) {
 	got = isa.Collect(isa.NewSliceSource(evs), 0)
 	if len(got) != 10 {
 		t.Errorf("Collect(0) = %d events", len(got))
+	}
+}
+
+// refFeed is Extractor.Feed as it was before the memo: every block is
+// an Access, and every block probes its NextLineDepth successors with
+// Contains and fills the absent ones.
+func refFeed(e *Extractor, ev isa.BlockEvent) {
+	ev.VisitBlocks(func(b isa.Block) bool {
+		e.accesses++
+		if !e.l1.Access(b) {
+			e.misses++
+			rec := MissRecord{
+				Block:      b,
+				Seq:        e.seq,
+				Branches:   e.branches,
+				Sequential: e.havePrev && b == e.prevMiss+1,
+			}
+			e.prevMiss = b
+			e.havePrev = true
+			e.branches = 0
+			e.l1.Fill(b)
+			if e.onMiss != nil {
+				e.onMiss(rec)
+			}
+		}
+		for d := 1; d <= e.cfg.NextLineDepth; d++ {
+			nb := b + isa.Block(d)
+			if !e.l1.Contains(nb) {
+				e.l1.Fill(nb)
+			}
+		}
+		return true
+	})
+	if ev.Kind.IsConditional() && !ev.InnerLoop {
+		e.branches++
+	}
+	e.seq++
+}
+
+// TestFeedMatchesReference feeds every core of every small workload
+// through Feed and refFeed and requires the same miss records and
+// counts: with the paper's L1, where the memo is on, and with a 2-set
+// L1, where it is off.
+func TestFeedMatchesReference(t *testing.T) {
+	events := 30_000
+	if testing.Short() {
+		events = 5_000
+	}
+	for _, cfg := range []ExtractorConfig{
+		{},
+		{L1: cache.Config{SizeBytes: 4 * isa.BlockBytes, Assoc: 2}},
+	} {
+		for _, spec := range workload.Suite() {
+			gen := workload.Build(spec, workload.ScaleSmall, 4)
+			for core, src := range gen.Sources() {
+				var got, want []MissRecord
+				e := NewExtractor(cfg, func(m MissRecord) { got = append(got, m) })
+				ref := NewExtractor(cfg, func(m MissRecord) { want = append(want, m) })
+				if e.memo != (cfg.L1.SizeBytes == 0) {
+					t.Fatalf("%+v: memo = %v", cfg, e.memo)
+				}
+				for i := 0; i < events; i++ {
+					ev, ok := src.Next()
+					if !ok {
+						break
+					}
+					e.Feed(ev)
+					refFeed(ref, ev)
+				}
+				if !reflect.DeepEqual(got, want) || e.Accesses() != ref.Accesses() || e.Misses() != ref.Misses() {
+					t.Errorf("%s core %d, L1 %+v: %d misses of %d accesses, reference %d of %d (records equal: %v)",
+						spec.Name, core, cfg.L1, e.Misses(), e.Accesses(), ref.Misses(), ref.Accesses(), reflect.DeepEqual(got, want))
+				}
+			}
+		}
 	}
 }

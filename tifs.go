@@ -58,6 +58,9 @@ const (
 	ScaleFull   = workload.ScaleFull
 )
 
+// MaxCores is the widest CMP a simulation accepts.
+const MaxCores = sim.MaxCores
+
 // Workloads returns the six Table-I workload specifications.
 func Workloads() []WorkloadSpec { return workload.Suite() }
 
