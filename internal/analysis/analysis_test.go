@@ -728,7 +728,7 @@ func BenchmarkCategorizeSnapshot(b *testing.B) {
 	spec, _ := workload.ByName("OLTP-DB2")
 	g := workload.Build(spec, workload.ScaleMedium, 4)
 	recs := trace.ExtractMisses(g.Sources()[0], workload.ScaleMedium.AnalysisEvents(), trace.ExtractorConfig{})
-	gr := sequitur.New()
+	gr := sequitur.New(len(recs))
 	for _, r := range recs {
 		gr.Append(uint64(r.Block))
 	}

@@ -59,7 +59,7 @@ func (c *Categorization) RepetitiveFrac() float64 {
 // Non-repetitive; the first walk through a rule is New; each subsequent
 // occurrence contributes one Head and ExpLen-1 Opportunity misses.
 func Categorize(seq []isa.Block) *Categorization {
-	g := sequitur.New()
+	g := sequitur.New(len(seq))
 	for _, b := range seq {
 		g.Append(uint64(b))
 	}

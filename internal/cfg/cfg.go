@@ -155,10 +155,9 @@ func (p *Program) TotalBlocks() int {
 	seen := make(map[isa.Block]struct{})
 	for _, b := range p.Blocks {
 		ev := isa.BlockEvent{PC: b.PC, Instrs: int(b.Instrs)}
-		ev.VisitBlocks(func(blk isa.Block) bool {
+		for blk := ev.PC.Block(); blk <= ev.LastPC().Block(); blk++ {
 			seen[blk] = struct{}{}
-			return true
-		})
+		}
 	}
 	return len(seen)
 }

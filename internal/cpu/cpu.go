@@ -48,8 +48,7 @@ type Config struct {
 	// (default 16K).
 	PredictorEntries int
 	// EventBudget bounds how many events the core pulls from its source
-	// (0 = unlimited). It replaces wrapping infinite executors in an
-	// isa.Limit, saving one interface dispatch per event on the hot path.
+	// (0 = unlimited), so an infinite executor needs no wrapper.
 	EventBudget uint64
 	// BackendCPI is the calibrated per-instruction back-end stall adder.
 	BackendCPI float64

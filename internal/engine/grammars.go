@@ -12,12 +12,14 @@ import (
 
 // The grammar tier: fig3, fig5, and fig6 each run SEQUITUR over a
 // workload's per-core miss traces before analyzing the grammar. The
-// traces themselves are memoized and persisted, but the grammar
-// construction — superlinear in trace length, by far the heaviest
-// analysis-phase step — used to be repaid by every process. Grammars
-// memoizes the per-core snapshots in-process and persists them in the
-// store under the miss-trace key plus the analysis variant, so a warm
-// rerun pays neither the simulation nor the SEQUITUR pass.
+// traces themselves are memoized and persisted, and so are the
+// grammars: Grammars memoizes the per-core snapshots in-process and
+// persists them in the store under the miss-trace key plus the analysis
+// variant, so a warm rerun pays neither the trace extraction nor the
+// SEQUITUR pass. In a cold medium-scale pass over the five analysis
+// figures, extracting the 24 miss traces (event generation included)
+// takes about 83% of the CPU time and building the 48 grammars about
+// 11% (CPU profile, 2-vCPU Xeon, Go 1.24).
 
 // grammarEntry is one memoized per-core grammar snapshot set.
 type grammarEntry struct {
@@ -114,7 +116,7 @@ func (e *Engine) Grammars(ctx context.Context, t TraceJob, dropSequential bool) 
 			if dropSequential {
 				rc = trace.DropSequential(rc)
 			}
-			g := sequitur.New()
+			g := sequitur.New(len(rc))
 			for _, r := range rc {
 				g.Append(uint64(r.Block))
 			}

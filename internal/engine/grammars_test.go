@@ -42,7 +42,7 @@ func grammarFromTraces(recs []trace.MissRecord, dropSequential bool) *sequitur.S
 	if dropSequential {
 		recs = trace.DropSequential(recs)
 	}
-	g := sequitur.New()
+	g := sequitur.New(len(recs))
 	for _, r := range recs {
 		g.Append(uint64(r.Block))
 	}

@@ -168,28 +168,3 @@ func (e BlockEvent) NextPC() Addr {
 
 // Discontinuity reports whether fetch after this block is non-sequential.
 func (e BlockEvent) Discontinuity() bool { return e.Kind.IsDiscontinuity(e.Taken) }
-
-// Blocks returns the cache blocks covered by the basic block, in fetch
-// order. Most basic blocks fit in one or two cache blocks; the slice is
-// freshly allocated. Use VisitBlocks on hot paths.
-func (e BlockEvent) Blocks() []Block {
-	first := e.PC.Block()
-	last := e.LastPC().Block()
-	out := make([]Block, 0, last-first+1)
-	for b := first; b <= last; b++ {
-		out = append(out, b)
-	}
-	return out
-}
-
-// VisitBlocks calls fn for each cache block covered by the basic block, in
-// fetch order, without allocating. fn returns false to stop early.
-func (e BlockEvent) VisitBlocks(fn func(Block) bool) {
-	first := e.PC.Block()
-	last := e.LastPC().Block()
-	for b := first; b <= last; b++ {
-		if !fn(b) {
-			return
-		}
-	}
-}

@@ -147,71 +147,50 @@ func TestBlockEventNextPCFallthroughKind(t *testing.T) {
 	}
 }
 
+// The fetch unit, the miss extractor and FDIP visit an event's cache
+// blocks as the range PC.Block() through LastPC().Block().
 func TestBlockEventBlocks(t *testing.T) {
 	// Block starting mid cache block and spanning into the next.
 	e := BlockEvent{PC: 0x3c, Instrs: 3} // covers 0x3c..0x44: blocks 0 and 1
-	blocks := e.Blocks()
-	if len(blocks) != 2 || blocks[0] != 0 || blocks[1] != 1 {
-		t.Errorf("Blocks() = %v, want [0 1]", blocks)
+	if first, last := e.PC.Block(), e.LastPC().Block(); first != 0 || last != 1 {
+		t.Errorf("blocks %v..%v, want 0..1", first, last)
 	}
 
 	// Single-instruction block: exactly one cache block.
 	e = BlockEvent{PC: 0x40, Instrs: 1}
-	blocks = e.Blocks()
-	if len(blocks) != 1 || blocks[0] != 1 {
-		t.Errorf("Blocks() = %v, want [1]", blocks)
+	if first, last := e.PC.Block(), e.LastPC().Block(); first != 1 || last != 1 {
+		t.Errorf("blocks %v..%v, want 1..1", first, last)
 	}
 }
 
 func TestBlockEventBlocksSpanMany(t *testing.T) {
 	// 64 instructions from a block-aligned start cover exactly 4 blocks.
 	e := BlockEvent{PC: 0x0, Instrs: 64}
-	blocks := e.Blocks()
-	if len(blocks) != 4 {
-		t.Fatalf("len(Blocks()) = %d, want 4", len(blocks))
-	}
-	for i, b := range blocks {
-		if b != Block(i) {
-			t.Errorf("blocks[%d] = %v, want %d", i, b, i)
-		}
+	if first, last := e.PC.Block(), e.LastPC().Block(); first != 0 || last != 3 {
+		t.Errorf("blocks %v..%v, want 0..3", first, last)
 	}
 }
 
-func TestVisitBlocksMatchesBlocks(t *testing.T) {
+// TestBlockRangeCoversEveryInstruction: the block range holds exactly
+// the blocks of the event's instructions, with no gap.
+func TestBlockRangeCoversEveryInstruction(t *testing.T) {
 	f := func(pcRaw uint32, n uint8) bool {
-		pc := Addr(pcRaw)
-		instrs := int(n%80) + 1
-		e := BlockEvent{PC: pc, Instrs: instrs}
-		var visited []Block
-		e.VisitBlocks(func(b Block) bool {
-			visited = append(visited, b)
-			return true
-		})
-		want := e.Blocks()
-		if len(visited) != len(want) {
-			return false
-		}
-		for i := range want {
-			if visited[i] != want[i] {
+		e := BlockEvent{PC: Addr(pcRaw), Instrs: int(n%80) + 1}
+		first, last := e.PC.Block(), e.LastPC().Block()
+		want := first
+		for i := 0; i < e.Instrs; i++ {
+			switch b := e.PC.Add(i).Block(); b {
+			case want:
+			case want + 1:
+				want = b
+			default:
 				return false
 			}
 		}
-		return true
+		return want == last
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestVisitBlocksEarlyStop(t *testing.T) {
-	e := BlockEvent{PC: 0, Instrs: 64} // 4 blocks
-	count := 0
-	e.VisitBlocks(func(b Block) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("early stop visited %d blocks, want 2", count)
 	}
 }
 

@@ -53,32 +53,6 @@ func (s *SliceSource) NextBatch(dst []BlockEvent) int {
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// Limit wraps an EventSource and stops after n events; it converts an
-// infinite executor into a finite trace of the desired length.
-type Limit struct {
-	src  EventSource
-	left uint64
-}
-
-// NewLimit returns a source yielding at most n events from src.
-func NewLimit(src EventSource, n uint64) *Limit {
-	return &Limit{src: src, left: n}
-}
-
-// Next implements EventSource.
-func (l *Limit) Next() (BlockEvent, bool) {
-	if l.left == 0 {
-		return BlockEvent{}, false
-	}
-	ev, ok := l.src.Next()
-	if !ok {
-		l.left = 0
-		return BlockEvent{}, false
-	}
-	l.left--
-	return ev, true
-}
-
 // Collect drains up to n events from src into a fresh slice. If n is 0 the
 // source is drained until exhaustion (do not pass 0 with infinite sources).
 func Collect(src EventSource, n uint64) []BlockEvent {

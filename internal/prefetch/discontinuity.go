@@ -141,9 +141,7 @@ func (d *Discontinuity) prefetchBlock(b isa.Block, now uint64) {
 			victim = i
 		}
 	}
-	if !d.buffer[victim].used {
-		d.stats.Discards++
-	}
+	d.stats.Discards++
 	d.buffer[victim] = e
 }
 

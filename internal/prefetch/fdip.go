@@ -54,10 +54,12 @@ func (c FDIPConfig) withDefaults() FDIPConfig {
 	return c
 }
 
+// fdipEntry is one prefetched block awaiting its fetch. Probe removes
+// an entry when the fetch uses it, so every entry evicted from a full
+// buffer is a discard.
 type fdipEntry struct {
 	block   isa.Block
 	ready   uint64
-	used    bool
 	lastUse uint64
 }
 
@@ -201,10 +203,10 @@ func (f *FDIP) OnWindow(window []isa.BlockEvent, now uint64) {
 			// Prediction bandwidth exhausted for this step.
 			return
 		}
-		window[i].VisitBlocks(func(b isa.Block) bool {
+		ev := &window[i]
+		for b, last := ev.PC.Block(), ev.LastPC().Block(); b <= last; b++ {
 			f.prefetchBlock(b, now)
-			return true
-		})
+		}
 		f.explored = i + 1
 		advanced++
 	}
@@ -263,9 +265,7 @@ func (f *FDIP) prefetchBlock(b isa.Block, now uint64) {
 			victim = i
 		}
 	}
-	if !f.buffer[victim].used {
-		f.stats.Discards++
-	}
+	f.stats.Discards++
 	f.buffer[victim] = e
 }
 

@@ -43,10 +43,9 @@ func refOnWindow(f *FDIP, window []isa.BlockEvent, now uint64) {
 		if advanced >= f.cfg.ExploreRate {
 			return
 		}
-		window[i].VisitBlocks(func(b isa.Block) bool {
+		for b := window[i].PC.Block(); b <= window[i].LastPC().Block(); b++ {
 			f.prefetchBlock(b, now)
-			return true
-		})
+		}
 		f.explored = i + 1
 		advanced++
 	}

@@ -194,9 +194,12 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	down = false
 	mu.Unlock()
 	time.Sleep(5 * time.Millisecond)
+	// Each queued write-back lands on its own, so wait for both keys.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, ok := c.GetResult("q1"); ok || time.Now().After(deadline) {
+		_, ok1 := c.GetResult("q1")
+		_, ok2 := c.GetResult("q2")
+		if ok1 && ok2 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)

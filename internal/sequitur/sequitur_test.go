@@ -1,9 +1,12 @@
 package sequitur
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"tifs/internal/trace"
+	"tifs/internal/workload"
 	"tifs/internal/xrand"
 )
 
@@ -22,6 +25,7 @@ func expandEquals(t *testing.T, seq []uint64) *Snapshot {
 	if err := snap.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
+	matchReference(t, t.Name(), seq)
 	return snap
 }
 
@@ -132,7 +136,7 @@ func TestRepeatedStreamCompresses(t *testing.T) {
 }
 
 func TestLenCounts(t *testing.T) {
-	g := New()
+	g := New(0)
 	for i := 0; i < 10; i++ {
 		g.Append(uint64(i % 3))
 	}
@@ -142,7 +146,7 @@ func TestLenCounts(t *testing.T) {
 }
 
 func TestSnapshotTwiceConsistent(t *testing.T) {
-	g := New()
+	g := New(0)
 	seq := []uint64{1, 2, 3, 1, 2, 3, 4, 1, 2}
 	for _, v := range seq {
 		g.Append(v)
@@ -166,6 +170,7 @@ func TestSnapshotTwiceConsistent(t *testing.T) {
 
 func TestPropertyRoundTripRandomSmallAlphabet(t *testing.T) {
 	// Small alphabets maximize digram collisions, stressing rule churn.
+	// The grammar must also be the reference model's.
 	f := func(raw []uint8) bool {
 		seq := make([]uint64, len(raw))
 		for i, v := range raw {
@@ -181,7 +186,7 @@ func TestPropertyRoundTripRandomSmallAlphabet(t *testing.T) {
 				return false
 			}
 		}
-		return snap.CheckInvariants() == nil
+		return snap.CheckInvariants() == nil && reflect.DeepEqual(snap, refBuild(seq))
 	}
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(f, cfg); err != nil {
@@ -191,7 +196,8 @@ func TestPropertyRoundTripRandomSmallAlphabet(t *testing.T) {
 
 func TestPropertyRoundTripStructured(t *testing.T) {
 	// Structured repetition: random stream segments repeated in random
-	// order, like real miss traces.
+	// order, like real miss traces. The grammar must also be the
+	// reference model's.
 	f := func(seed uint64, nStreams, reps uint8) bool {
 		rng := xrand.New(seed)
 		ns := int(nStreams%5) + 2
@@ -216,7 +222,7 @@ func TestPropertyRoundTripStructured(t *testing.T) {
 				return false
 			}
 		}
-		return snap.CheckInvariants() == nil
+		return snap.CheckInvariants() == nil && reflect.DeepEqual(snap, refBuild(seq))
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
@@ -236,7 +242,7 @@ func TestLargeSequencePerformance(t *testing.T) {
 			streams[i][j] = uint64(i*4096 + j)
 		}
 	}
-	g := New()
+	g := New(0)
 	total := 0
 	for total < 300_000 {
 		s := streams[rng.Intn(len(streams))]
@@ -273,7 +279,7 @@ func BenchmarkAppend(b *testing.B) {
 			streams[i][j] = uint64(i*100 + j)
 		}
 	}
-	g := New()
+	g := New(0)
 	b.ResetTimer()
 	i := 0
 	for i < b.N {
@@ -285,5 +291,102 @@ func BenchmarkAppend(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// matchReference builds seq with Grammar and with the reference model
+// and fails unless the two snapshots are identical.
+func matchReference(t *testing.T, name string, seq []uint64) {
+	t.Helper()
+	got, want := Build(seq), refBuild(seq)
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	for i := range min(got.NumRules(), want.NumRules()) {
+		if !reflect.DeepEqual(got.Rules[i], want.Rules[i]) {
+			t.Fatalf("%s: %d terminals: rule %d is %+v, reference %+v", name, len(seq), i, got.Rules[i], want.Rules[i])
+		}
+	}
+	t.Fatalf("%s: %d terminals: grammar has %d rules, reference %d", name, len(seq), got.NumRules(), want.NumRules())
+}
+
+// fuzzSequence decodes one terminal per byte after the first, which
+// picks an alphabet of 1 to 16 values; a set top bit moves the value to
+// bit 63. Small alphabets make runs of one symbol (the triple case),
+// rule reuse and rule expansion common, and their values collide with
+// the small rule ids a grammar hands out.
+func fuzzSequence(data []byte) []uint64 {
+	if len(data) == 0 {
+		return nil
+	}
+	alphabet := 1 + uint64(data[0]%16)
+	seq := make([]uint64, len(data)-1)
+	for i, b := range data[1:] {
+		seq[i] = uint64(b&0x7f) % alphabet
+		if b&0x80 != 0 {
+			seq[i] |= 1 << 63
+		}
+	}
+	return seq
+}
+
+// FuzzGrammarMatchesReference: Grammar and the pointer-linked reference
+// model build identical snapshots from any sequence.
+func FuzzGrammarMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte("\x02abcdbcabcdbcaaaabbbb"))
+	f.Add([]byte{3, 0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 2, 2, 2, 1, 0, 1, 0, 1, 2, 0, 1})
+	f.Add([]byte{15, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 0x81, 0x82, 1, 2, 0x81, 0x82, 3, 4, 5})
+	f.Add([]byte{4, 0x80, 0x80, 0x80, 0, 0, 0, 0x80, 0, 0x80, 0, 0x80, 0x80, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		matchReference(t, "fuzz", fuzzSequence(data))
+	})
+}
+
+// TestGrammarMatchesReferenceOnTraces compares the two implementations
+// on the miss traces of the six small workloads, four cores each, with
+// and without sequential misses, as Figs. 3, 5 and 6 build them.
+func TestGrammarMatchesReferenceOnTraces(t *testing.T) {
+	events := workload.ScaleSmall.AnalysisEvents()
+	if testing.Short() {
+		events /= 10
+	}
+	for _, spec := range workload.Suite() {
+		gen := workload.Build(spec, workload.ScaleSmall, 4)
+		for _, src := range gen.Sources() {
+			recs := trace.ExtractMisses(src, events, trace.ExtractorConfig{})
+			for _, rc := range [][]trace.MissRecord{recs, trace.DropSequential(recs)} {
+				seq := make([]uint64, len(rc))
+				for i, r := range rc {
+					seq[i] = uint64(r.Block)
+				}
+				matchReference(t, spec.Name, seq)
+			}
+		}
+	}
+}
+
+// BenchmarkGrammarBuild builds the grammar of one medium-scale OLTP-DB2
+// core's miss trace, the per-core unit of Figs. 3, 5 and 6, with and
+// without sequential misses (the engine's two grammar variants).
+func BenchmarkGrammarBuild(b *testing.B) {
+	spec, _ := workload.ByName("OLTP-DB2")
+	gen := workload.Build(spec, workload.ScaleMedium, 4)
+	recs := trace.ExtractMisses(gen.Sources()[0], workload.ScaleMedium.AnalysisEvents(), trace.ExtractorConfig{})
+	for _, v := range []struct {
+		name string
+		recs []trace.MissRecord
+	}{{"full", recs}, {"noseq", trace.DropSequential(recs)}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				g := New(len(v.recs))
+				for _, r := range v.recs {
+					g.Append(uint64(r.Block))
+				}
+				g.Snapshot()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(v.recs)), "ns/miss")
+		})
 	}
 }

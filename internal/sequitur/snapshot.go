@@ -38,29 +38,36 @@ type Snapshot struct {
 // Snapshot captures the grammar's current state. The grammar remains
 // usable afterwards.
 func (g *Grammar) Snapshot() *Snapshot {
-	// Collect live rules reachable from the root (expand leaves dead
-	// rules behind by design).
-	idx := map[*rule]int{g.root: 0}
-	order := []*rule{g.root}
+	// Collect live rules reachable from the root, numbered in the order
+	// a breadth-first walk meets them; idx maps a guard's arena index to
+	// its rule's snapshot index plus one.
+	idx := make([]int32, len(g.syms))
+	idx[g.root] = 1
+	order := []int32{g.root}
 	for i := 0; i < len(order); i++ {
-		for s := order[i].first(); !s.isGuard(); s = s.next {
-			if s.nonTerminal() {
-				if _, ok := idx[s.r]; !ok {
-					idx[s.r] = len(order)
-					order = append(order, s.r)
-				}
+		for s := g.syms[order[i]].next; s != order[i]; s = g.syms[s].next {
+			if r := g.syms[s].rule; r > 0 && idx[r] == 0 {
+				order = append(order, r)
+				idx[r] = int32(len(order))
 			}
 		}
 	}
 
 	snap := &Snapshot{Rules: make([]RuleView, len(order))}
 	for i, r := range order {
-		rv := RuleView{ID: i, Uses: r.count}
-		for s := r.first(); !s.isGuard(); s = s.next {
-			if s.nonTerminal() {
-				rv.Syms = append(rv.Syms, Sym{IsRule: true, Rule: idx[s.r]})
+		n := 0
+		for s := g.syms[r].next; s != r; s = g.syms[s].next {
+			n++
+		}
+		rv := RuleView{ID: i, Uses: int(g.syms[r].count)}
+		if n > 0 {
+			rv.Syms = make([]Sym, 0, n)
+		}
+		for s := g.syms[r].next; s != r; s = g.syms[s].next {
+			if ref := g.syms[s].rule; ref > 0 {
+				rv.Syms = append(rv.Syms, Sym{IsRule: true, Rule: int(idx[ref] - 1)})
 			} else {
-				rv.Syms = append(rv.Syms, Sym{Value: s.value})
+				rv.Syms = append(rv.Syms, Sym{Value: g.syms[s].value})
 			}
 		}
 		snap.Rules[i] = rv
@@ -174,7 +181,7 @@ func (s *Snapshot) CheckInvariants() error {
 // Build is a convenience constructing a grammar over seq and returning
 // its snapshot.
 func Build(seq []uint64) *Snapshot {
-	g := New()
+	g := New(len(seq))
 	for _, v := range seq {
 		g.Append(v)
 	}

@@ -87,7 +87,8 @@ func NewExtractor(cfg ExtractorConfig, onMiss func(MissRecord)) *Extractor {
 	}
 }
 
-// Feed processes one fetch event.
+// Feed processes one fetch event. It reads the event in place: Run
+// hands it a pointer into its batch buffer.
 //
 // After a block b is fed, b and the NextLineDepth blocks after it are
 // resident, each in its own set when the L1 has more sets than
@@ -95,15 +96,16 @@ func NewExtractor(cfg ExtractorConfig, onMiss func(MissRecord)) *Extractor {
 // recently used block of its set: it only counts the access. A fetch
 // one to NextLineDepth blocks past b fills only the blocks past b's
 // frontier.
-func (e *Extractor) Feed(ev isa.BlockEvent) {
+func (e *Extractor) Feed(ev *isa.BlockEvent) {
 	depth := isa.Block(e.cfg.NextLineDepth)
-	ev.VisitBlocks(func(b isa.Block) bool {
+	last := ev.LastPC().Block()
+	for b := ev.PC.Block(); b <= last; b++ {
 		e.accesses++
 		d := isa.Block(1)
 		if e.haveLast {
 			k := b - e.last
 			if k == 0 {
-				return true
+				continue
 			}
 			if k-1 < depth {
 				d = depth - k + 1
@@ -131,8 +133,7 @@ func (e *Extractor) Feed(ev isa.BlockEvent) {
 			e.l1.FillIfAbsent(b + d)
 		}
 		e.last, e.haveLast = b, e.memo
-		return true
-	})
+	}
 	if ev.Kind.IsConditional() && !ev.InnerLoop {
 		e.branches++
 	}
@@ -154,7 +155,7 @@ func (e *Extractor) Run(src isa.EventSource, maxEvents uint64) uint64 {
 		if !ok {
 			break
 		}
-		e.Feed(ev)
+		e.Feed(&ev)
 		n++
 	}
 	return n
@@ -170,8 +171,8 @@ func (e *Extractor) runBatched(bs isa.BatchSource, maxEvents uint64) uint64 {
 			want = left
 		}
 		got := bs.NextBatch(buf[:want])
-		for i := 0; i < got; i++ {
-			e.Feed(buf[i])
+		for i := range got {
+			e.Feed(&buf[i])
 		}
 		n += uint64(got)
 		if uint64(got) < want {

@@ -117,7 +117,7 @@ func TestExtractorMultiBlockEvent(t *testing.T) {
 	// block misses, next-line covers the rest.
 	evs := []isa.BlockEvent{{PC: 0x50000, Instrs: 64, Kind: isa.CTReturn, Taken: true, Target: 0}}
 	e := NewExtractor(ExtractorConfig{}, nil)
-	e.Feed(evs[0])
+	e.Feed(&evs[0])
 	if e.Accesses() != 4 {
 		t.Errorf("Accesses = %d, want 4", e.Accesses())
 	}
@@ -193,7 +193,7 @@ func TestDropSequentialAndBlocks(t *testing.T) {
 func TestEventCodecRoundTrip(t *testing.T) {
 	spec, _ := workload.ByName("Web-Zeus")
 	g := workload.Build(spec, workload.ScaleSmall, 1)
-	events := isa.Collect(isa.NewLimit(g.Sources()[0], 20_000), 20_000)
+	events := isa.Collect(g.Sources()[0], 20_000)
 
 	var buf bytes.Buffer
 	w, err := NewEventWriter(&buf)
@@ -328,7 +328,7 @@ func TestReaderReportsTruncation(t *testing.T) {
 func TestEventCodecCompact(t *testing.T) {
 	spec, _ := workload.ByName("DSS-Qry2")
 	g := workload.Build(spec, workload.ScaleSmall, 1)
-	events := isa.Collect(isa.NewLimit(g.Sources()[0], 50_000), 50_000)
+	events := isa.Collect(g.Sources()[0], 50_000)
 	var buf bytes.Buffer
 	w, _ := NewEventWriter(&buf)
 	for _, ev := range events {
@@ -343,12 +343,16 @@ func TestEventCodecCompact(t *testing.T) {
 	}
 }
 
-func TestLimitAndCollect(t *testing.T) {
+func TestCollect(t *testing.T) {
 	evs := seqEvents(0x1000, 10)
-	lim := isa.NewLimit(isa.NewSliceSource(evs), 3)
-	got := isa.Collect(lim, 100)
+	got := isa.Collect(isa.NewSliceSource(evs), 3)
 	if len(got) != 3 {
-		t.Errorf("Collect(limit 3) = %d events", len(got))
+		t.Errorf("Collect(3) = %d events", len(got))
+	}
+	// A source shorter than n ends the collection.
+	got = isa.Collect(isa.NewSliceSource(evs), 100)
+	if len(got) != 10 {
+		t.Errorf("Collect(100) of 10 events = %d events", len(got))
 	}
 	// Collect with n=0 drains fully.
 	got = isa.Collect(isa.NewSliceSource(evs), 0)
@@ -361,7 +365,7 @@ func TestLimitAndCollect(t *testing.T) {
 // an Access, and every block probes its NextLineDepth successors with
 // Contains and fills the absent ones.
 func refFeed(e *Extractor, ev isa.BlockEvent) {
-	ev.VisitBlocks(func(b isa.Block) bool {
+	for b := ev.PC.Block(); b <= ev.LastPC().Block(); b++ {
 		e.accesses++
 		if !e.l1.Access(b) {
 			e.misses++
@@ -385,8 +389,7 @@ func refFeed(e *Extractor, ev isa.BlockEvent) {
 				e.l1.Fill(nb)
 			}
 		}
-		return true
-	})
+	}
 	if ev.Kind.IsConditional() && !ev.InnerLoop {
 		e.branches++
 	}
@@ -420,7 +423,7 @@ func TestFeedMatchesReference(t *testing.T) {
 					if !ok {
 						break
 					}
-					e.Feed(ev)
+					e.Feed(&ev)
 					refFeed(ref, ev)
 				}
 				if !reflect.DeepEqual(got, want) || e.Accesses() != ref.Accesses() || e.Misses() != ref.Misses() {
