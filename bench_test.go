@@ -45,7 +45,7 @@ var benchOutputOnce sync.Map
 func runExperiment(b *testing.B, id string) {
 	o := tifs.ExperimentOptions{Scale: benchScale(b)}
 	for i := 0; i < b.N; i++ {
-		out, err := tifs.RunExperiment(id, o)
+		out, err := tifs.RunExperiments([]string{id}, o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,10 +25,12 @@
 //	tifsbench -experiment all -scale full -cache-dir /shared/tifs -merge        # assemble the output
 //	tifsbench -cache-dir /shared/tifs -store-gc                                 # compact afterwards
 //
-// Workers fill the store cooperatively and print no tables; the -merge
-// pass renders output byte-identical to a single-process run from store
-// hits alone. -store-gc folds the per-worker segment files back into one
-// log and reclaims dead bytes.
+// Workers fill the store cooperatively and print no tables. -merge is a
+// plain run that requires the shared store: it first checks the store
+// against the sweep grid, renders output byte-identical to a
+// single-process run from store hits alone, and says on stderr whether
+// anything had to be re-computed. -store-gc folds the per-worker segment
+// files back into one log and reclaims dead bytes.
 //
 // With -remote, the store and the lease coordination live behind a
 // tifsserve URL instead of a shared directory — workers on different
@@ -178,7 +180,7 @@ func run() int {
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel}
+	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
 			name := strings.TrimSpace(w)
@@ -214,16 +216,32 @@ func run() int {
 	if *submit != "" {
 		return runSubmit(ctx, *submit, httpClient, ids, o)
 	}
+	// -remote replaces -cache-dir for runs, -shard, and -merge.
+	loc := tifs.StoreLocation{Dir: *cacheDir}
+	if *remote != "" {
+		loc = tifs.StoreLocation{URL: *remote, HTTPClient: httpClient}
+	}
 	if *shardSpec != "" {
-		return runShardWorker(ctx, *shardSpec, *cacheDir, *remote, httpClient, ids, o)
+		return runShardWorker(ctx, *shardSpec, loc, *parallel, ids, o)
 	}
-	if *merge {
-		return runMerge(ctx, *cacheDir, *remote, httpClient, ids, o)
-	}
+	return runExperiments(ctx, loc, *parallel, *merge, ids, o)
+}
 
+// runExperiments renders the selected experiments on one engine over the
+// store at loc, if any. A -merge pass requires the store: it is the one
+// the shard workers filled. With full shard coverage every grid point is
+// a store hit and the pass takes seconds; anything a failed worker left
+// missing is re-computed here (correct output either way) and reported
+// so the operator knows.
+func runExperiments(ctx context.Context, loc tifs.StoreLocation, parallelism int, merge bool, ids []string, o tifs.ExperimentOptions) int {
+	if merge && loc.Dir == "" && loc.URL == "" {
+		fmt.Fprintln(os.Stderr, "-merge requires -cache-dir or -remote (the store the shard workers filled)")
+		return 2
+	}
+	var st tifs.StoreBackend
 	switch {
-	case *remote != "":
-		rs := tifs.DialRemoteStoreContext(ctx, *remote, httpClient)
+	case loc.URL != "":
+		rs := tifs.DialRemoteStore(ctx, loc.URL, loc.HTTPClient)
 		defer func() {
 			fmt.Fprintln(os.Stderr, rs.Stats())
 			if err := rs.Close(); err != nil {
@@ -233,30 +251,37 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "tifsbench:", err)
 			}
 		}()
-		o.Backend = rs
-	case *cacheDir != "":
-		st, err := tifs.OpenResultStore(*cacheDir)
+		st = rs
+	case loc.Dir != "":
+		local, err := tifs.OpenResultStore(loc.Dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
 		defer func() {
-			fmt.Fprintln(os.Stderr, st.Stats())
-			st.Close()
+			fmt.Fprintln(os.Stderr, local.Stats())
+			local.Close()
 		}()
-		o.Store = st
+		st = local
+	}
+	var missingJobs, missingTraces int
+	if merge {
+		// Preflight coverage against the grid itself: the engine's counters
+		// alone would miss a re-run trace extraction.
+		grid, err := tifs.ExperimentGrid(ids, o)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		jobs, traces := tifs.MissingFromStore(st, grid)
+		missingJobs, missingTraces = len(jobs), len(traces)
 	}
 
-	// An explicit engine (instead of the one the experiments package
-	// would build internally) so the run can account for its work:
-	// zero simulations and zero grammar builds on a warm store is the
-	// observable proof the persistence tiers answered everything.
-	var eng *tifs.SimEngine
-	if o.Backend != nil {
-		eng = tifs.NewSimEngineBackend(*parallel, o.Backend)
-	} else {
-		eng = tifs.NewSimEngine(*parallel, o.Store)
-	}
+	// An explicit engine (instead of the process-wide default) so the run
+	// can account for its work: zero simulations and zero grammar builds
+	// on a warm store is the observable proof the persistence tiers
+	// answered everything.
+	eng := tifs.NewSimEngine(parallelism, st)
 	o.Engine = eng
 	defer eng.Close()
 	defer func() {
@@ -264,16 +289,20 @@ func run() int {
 			eng.SimulationsRun(), eng.StoreHits(), eng.GrammarBuilds())
 	}()
 
-	if *experiment == "all" {
-		fmt.Print(tifs.RunAllExperiments(o))
-		return interrupted(ctx)
-	}
-	out, err := tifs.RunExperiment(*experiment, o)
+	out, err := tifs.RunExperiments(ids, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	fmt.Print(out)
+	if merge {
+		if missingJobs+missingTraces > 0 {
+			fmt.Fprintf(os.Stderr, "merge: %d simulations and %d trace extractions were missing from the store and were re-computed (did a shard worker die?)\n",
+				missingJobs, missingTraces)
+		} else {
+			fmt.Fprintf(os.Stderr, "merge: assembled entirely from the store (%d hits)\n", eng.StoreHits())
+		}
+	}
 	return interrupted(ctx)
 }
 
@@ -357,10 +386,10 @@ func submitClientName() string {
 // runShardWorker executes one sweep worker: shard "i/N" pins a shard,
 // "auto/N" claims shards through the lease manifest until none remain.
 // Workers print per-shard reports to stderr and no tables at all — the
-// -merge pass renders output once every shard is done. With remote set,
-// the store and lease manifest live behind that tifsserve URL.
-func runShardWorker(ctx context.Context, spec, cacheDir, remote string, httpClient *http.Client, ids []string, o tifs.ExperimentOptions) int {
-	if cacheDir == "" && remote == "" {
+// -merge pass renders output once every shard is done. The store and the
+// lease manifest live at loc: a shared directory or a tifsserve URL.
+func runShardWorker(ctx context.Context, spec string, loc tifs.StoreLocation, parallelism int, ids []string, o tifs.ExperimentOptions) int {
+	if loc.Dir == "" && loc.URL == "" {
 		fmt.Fprintln(os.Stderr, "-shard requires -cache-dir or -remote (the store all workers share)")
 		return 2
 	}
@@ -379,13 +408,7 @@ func runShardWorker(ctx context.Context, spec, cacheDir, remote string, httpClie
 		len(grid.Jobs), len(grid.Traces), count)
 
 	if sel == "auto" {
-		var reports []tifs.ShardReport
-		var err error
-		if remote != "" {
-			reports, err = tifs.RemoteShardedSweepAuto(ctx, remote, httpClient, count, grid, o)
-		} else {
-			reports, err = tifs.ShardedSweepAuto(ctx, cacheDir, count, grid, o)
-		}
+		reports, err := tifs.ShardedSweepAuto(ctx, loc, count, grid, parallelism)
 		for _, rep := range reports {
 			fmt.Fprintln(os.Stderr, rep)
 		}
@@ -405,12 +428,7 @@ func runShardWorker(ctx context.Context, spec, cacheDir, remote string, httpClie
 		fmt.Fprintf(os.Stderr, "bad -shard %q: index must be in [0,%d)\n", spec, count)
 		return 2
 	}
-	var rep tifs.ShardReport
-	if remote != "" {
-		rep, err = tifs.RemoteShardedSweep(ctx, remote, httpClient, index, count, grid, o)
-	} else {
-		rep, err = tifs.ShardedSweep(ctx, cacheDir, index, count, grid, o)
-	}
+	rep, err := tifs.ShardedSweep(ctx, loc, index, count, grid, parallelism)
 	if ctx.Err() != nil {
 		// Partial report: the counters below say how far it got before
 		// the interrupt; everything counted is already in the store.
@@ -424,64 +442,4 @@ func runShardWorker(ctx context.Context, spec, cacheDir, remote string, httpClie
 	}
 	fmt.Fprintln(os.Stderr, rep)
 	return 0
-}
-
-// runMerge assembles experiment output from the shared store. With full
-// shard coverage every grid point is a store hit and the pass takes
-// seconds; anything a failed worker left missing is re-computed here
-// (correct output either way) and reported so the operator knows.
-func runMerge(ctx context.Context, cacheDir, remote string, httpClient *http.Client, ids []string, o tifs.ExperimentOptions) int {
-	if cacheDir == "" && remote == "" {
-		fmt.Fprintln(os.Stderr, "-merge requires -cache-dir or -remote (the store the shard workers filled)")
-		return 2
-	}
-	var st tifs.StoreBackend
-	if remote != "" {
-		rs := tifs.DialRemoteStoreContext(ctx, remote, httpClient)
-		defer func() {
-			fmt.Fprintln(os.Stderr, rs.Stats())
-			rs.Close()
-		}()
-		st = rs
-	} else {
-		local, err := tifs.OpenResultStore(cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer func() {
-			fmt.Fprintln(os.Stderr, local.Stats())
-			local.Close()
-		}()
-		st = local
-	}
-	// Preflight coverage against the grid itself: the engine's counters
-	// alone would miss a re-run trace extraction.
-	grid, err := tifs.ExperimentGrid(ids, o)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	missingJobs, missingTraces := tifs.MissingFromStore(st, grid)
-	e := tifs.NewSimEngineBackend(o.Parallelism, st)
-	o.Engine = e
-	defer e.Close()
-
-	if len(ids) == 0 {
-		fmt.Print(tifs.RunAllExperiments(o))
-	} else {
-		out, err := tifs.RunExperiment(ids[0], o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Print(out)
-	}
-	if n := len(missingJobs) + len(missingTraces); n > 0 {
-		fmt.Fprintf(os.Stderr, "merge: %d simulations and %d trace extractions were missing from the store and were re-computed (did a shard worker die?)\n",
-			len(missingJobs), len(missingTraces))
-	} else {
-		fmt.Fprintf(os.Stderr, "merge: assembled entirely from the store (%d hits)\n", e.StoreHits())
-	}
-	return interrupted(ctx)
 }

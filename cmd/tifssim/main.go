@@ -112,7 +112,7 @@ func run() int {
 	var st tifs.StoreBackend
 	switch {
 	case *remote != "":
-		rs := tifs.DialRemoteStoreContext(ctx, *remote, nil)
+		rs := tifs.DialRemoteStore(ctx, *remote, nil)
 		defer func() {
 			fmt.Fprintln(os.Stderr, rs.Stats())
 			rs.Close()
@@ -139,7 +139,9 @@ func run() int {
 			Cores: *cores, EventsPerCore: *events, Mechanism: tifs.NextLineOnly(),
 		}})
 	}
-	results := tifs.SimulateAllBackendContext(ctx, jobs, 0, st)
+	eng := tifs.NewSimEngine(0, st)
+	defer eng.Close()
+	results := eng.RunAll(ctx, jobs)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "tifssim: interrupted — no report (partial results, if any, were saved to the cache)")
 		return exitInterrupted

@@ -1,8 +1,9 @@
 // Package branch implements the front-end branch prediction machinery of
-// Table II — a hybrid predictor combining a 16K-entry gShare with a
-// 16K-entry bimodal table under a selector — plus the branch target buffer
-// and return-address stack that a fetch-directed prefetcher (FDIP,
-// Reinman et al.) needs to explore control flow ahead of the fetch unit.
+// Table II: a hybrid predictor combining a 16K-entry gShare with a
+// 16K-entry bimodal table under a selector, which a fetch-directed
+// prefetcher (FDIP, Reinman et al.) uses to explore control flow ahead of
+// the fetch unit. FDIP assumes a perfect branch target buffer and
+// return-address stack, so neither is modelled.
 //
 // Prediction quality is what limits FDIP's lookahead in the paper
 // (Sections 3.2 and 6.2); TIFS itself uses none of this machinery.
@@ -217,83 +218,3 @@ func (h *Hybrid) PredictUpdate(pc isa.Addr, taken bool) bool {
 	}
 	return pred
 }
-
-// BTB is a direct-mapped branch target buffer with tags, mapping branch
-// PCs to their most recent taken targets.
-type BTB struct {
-	tags    []uint64
-	targets []isa.Addr
-	valid   []bool
-	mask    uint64
-}
-
-// NewBTB creates a BTB with the given number of entries (power of two).
-func NewBTB(entries int) *BTB {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("branch: entries must be a positive power of two")
-	}
-	return &BTB{
-		tags:    make([]uint64, entries),
-		targets: make([]isa.Addr, entries),
-		valid:   make([]bool, entries),
-		mask:    uint64(entries - 1),
-	}
-}
-
-func (b *BTB) index(pc isa.Addr) uint64 { return (uint64(pc) >> 2) & b.mask }
-
-// Lookup returns the predicted target for pc, if any.
-func (b *BTB) Lookup(pc isa.Addr) (isa.Addr, bool) {
-	i := b.index(pc)
-	if b.valid[i] && b.tags[i] == uint64(pc) {
-		return b.targets[i], true
-	}
-	return 0, false
-}
-
-// Update records the resolved target for pc.
-func (b *BTB) Update(pc isa.Addr, target isa.Addr) {
-	i := b.index(pc)
-	b.tags[i] = uint64(pc)
-	b.targets[i] = target
-	b.valid[i] = true
-}
-
-// RAS is a fixed-depth return-address stack with wraparound overwrite on
-// overflow, as hardware RASes behave.
-type RAS struct {
-	stack []isa.Addr
-	top   int // number of live entries, saturates at capacity
-	pos   int // next push slot
-}
-
-// NewRAS creates a return-address stack with the given capacity.
-func NewRAS(depth int) *RAS {
-	if depth <= 0 {
-		panic("branch: RAS depth must be positive")
-	}
-	return &RAS{stack: make([]isa.Addr, depth)}
-}
-
-// Push records a return address at a call.
-func (r *RAS) Push(ret isa.Addr) {
-	r.stack[r.pos] = ret
-	r.pos = (r.pos + 1) % len(r.stack)
-	if r.top < len(r.stack) {
-		r.top++
-	}
-}
-
-// Pop predicts the target of a return. ok is false when the stack is
-// empty (prediction unavailable).
-func (r *RAS) Pop() (isa.Addr, bool) {
-	if r.top == 0 {
-		return 0, false
-	}
-	r.pos = (r.pos - 1 + len(r.stack)) % len(r.stack)
-	r.top--
-	return r.stack[r.pos], true
-}
-
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.top }

@@ -133,73 +133,6 @@ func TestHybridRandomBranchNearChance(t *testing.T) {
 	}
 }
 
-func TestBTB(t *testing.T) {
-	b := NewBTB(1024)
-	pc, target := isa.Addr(0x4000), isa.Addr(0x8000)
-	if _, ok := b.Lookup(pc); ok {
-		t.Error("cold BTB lookup should miss")
-	}
-	b.Update(pc, target)
-	got, ok := b.Lookup(pc)
-	if !ok || got != target {
-		t.Errorf("Lookup = %v,%v", got, ok)
-	}
-	// Conflicting PC (same index, different tag) evicts.
-	conflict := pc + isa.Addr(1024*4)
-	b.Update(conflict, 0x9000)
-	if _, ok := b.Lookup(pc); ok {
-		t.Error("conflicting update should evict prior entry")
-	}
-}
-
-func TestRASLIFO(t *testing.T) {
-	r := NewRAS(8)
-	if _, ok := r.Pop(); ok {
-		t.Error("empty RAS pop should fail")
-	}
-	r.Push(0x100)
-	r.Push(0x200)
-	r.Push(0x300)
-	if r.Depth() != 3 {
-		t.Errorf("Depth = %d", r.Depth())
-	}
-	for _, want := range []isa.Addr{0x300, 0x200, 0x100} {
-		got, ok := r.Pop()
-		if !ok || got != want {
-			t.Errorf("Pop = %v,%v; want %v", got, ok, want)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("drained RAS pop should fail")
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	r := NewRAS(4)
-	for i := 1; i <= 6; i++ {
-		r.Push(isa.Addr(i * 0x10))
-	}
-	// Stack holds the 4 most recent: 0x60, 0x50, 0x40, 0x30.
-	for _, want := range []isa.Addr{0x60, 0x50, 0x40, 0x30} {
-		got, ok := r.Pop()
-		if !ok || got != want {
-			t.Errorf("Pop = %v,%v; want %v", got, ok, want)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("RAS should be empty after draining capacity")
-	}
-}
-
-func TestRASPanicsOnBadDepth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewRAS(0) should panic")
-		}
-	}()
-	NewRAS(0)
-}
-
 func TestPredictorAccuracyOnBiasedStream(t *testing.T) {
 	// Overall sanity: on a stream of 90%-biased branches across many PCs,
 	// the hybrid should exceed 80% accuracy after warmup.

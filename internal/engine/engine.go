@@ -16,9 +16,9 @@
 // Two tiers extend the memo beyond a single batch: workers draw pooled
 // sim.Runner machines, so repeated simulations reuse all machine state
 // and run allocation-free in steady state, and an optional persistent
-// store (SetStore) carries results and miss traces across processes, so
-// a repeated CLI invocation skips every grid point it has already
-// simulated.
+// store backend (SetBackend: the on-disk store or the remote client)
+// carries results and miss traces across processes, so a repeated CLI
+// invocation skips every grid point it has already simulated.
 //
 // Cancellation: every scheduling entry point takes a context.Context and
 // stops admitting work once it is cancelled. Cancellation aborts, it
@@ -187,24 +187,19 @@ func (e *Engine) SimulationsRun() uint64 { return e.runs.Load() }
 // persistent store instead of simulating.
 func (e *Engine) StoreHits() uint64 { return e.storeHits.Load() }
 
-// SetStore attaches the on-disk result store as the second memo tier.
-// Attach it before submitting work; it must not change while jobs are in
-// flight. A nil store disables the tier.
-func (e *Engine) SetStore(s *store.Store) {
-	if s == nil {
-		// Guard the typed-nil hazard: assigning (*store.Store)(nil) to the
-		// interface field would make every e.store != nil check pass and
-		// then panic inside the method calls.
-		e.store = nil
-		return
+// SetBackend attaches a store backend (the on-disk store, the remote
+// client, a test double) as the persistent memo tier. Attach it before
+// submitting work; it must not change while jobs are in flight. A nil
+// backend, or a nil *store.Store, disables the tier.
+func (e *Engine) SetBackend(b store.Backend) {
+	if s, ok := b.(*store.Store); ok && s == nil {
+		// Guard the typed-nil hazard: a (*store.Store)(nil) in the
+		// interface field would pass every e.store != nil check and then
+		// panic inside the method calls.
+		b = nil
 	}
-	e.store = s
+	e.store = b
 }
-
-// SetBackend attaches an arbitrary store backend (the remote client,
-// a test double) as the persistent memo tier. A nil backend disables
-// the tier.
-func (e *Engine) SetBackend(b store.Backend) { e.store = b }
 
 // runner borrows a pooled simulation machine.
 func (e *Engine) runner() *sim.Runner {

@@ -145,7 +145,7 @@ func TestStoreSecondTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := New(2)
-	e1.SetStore(st1)
+	e1.SetBackend(st1)
 	cold := e1.RunAll(context.Background(), jobs)
 	coldTraces := e1.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
 	if got := e1.SimulationsRun(); got != 3 {
@@ -162,7 +162,7 @@ func TestStoreSecondTier(t *testing.T) {
 	}
 	defer st2.Close()
 	e2 := New(2)
-	e2.SetStore(st2)
+	e2.SetBackend(st2)
 	warm := e2.RunAll(context.Background(), jobs)
 	warmTraces := e2.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
 	if got := e2.SimulationsRun(); got != 0 {
@@ -181,6 +181,29 @@ func TestStoreSecondTier(t *testing.T) {
 	plain := New(2).RunAll(context.Background(), jobs)
 	if !reflect.DeepEqual(cold, plain) {
 		t.Error("results with the store differ from results without it")
+	}
+}
+
+// TestSetBackendTypedNilStoreDisablesTier: a nil *store.Store, the value
+// a caller without a cache directory holds, must leave the persistent
+// tier off rather than become a non-nil interface whose methods panic.
+func TestSetBackendTypedNilStoreDisablesTier(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	e.SetBackend((*store.Store)(nil))
+	if e.store != nil {
+		t.Fatalf("typed-nil store left the tier on: %#v", e.store)
+	}
+	oltp := spec(t, "OLTP-DB2")
+	res := e.RunAll(context.Background(), []Job{job(oltp, sim.Baseline()), job(oltp, sim.FDIP())})
+	if res[0].Cycles == 0 || res[1].Cycles == 0 {
+		t.Error("batch over the disabled tier returned empty results")
+	}
+	if recs := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000); len(recs) != 4 {
+		t.Errorf("got %d cores of miss traces, want 4", len(recs))
+	}
+	if e.StoreHits() != 0 || e.SimulationsRun() != 2 {
+		t.Errorf("store hits %d, simulations %d; want 0 and 2", e.StoreHits(), e.SimulationsRun())
 	}
 }
 

@@ -100,7 +100,7 @@ func TestGrammarStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := New(2)
-	e1.SetStore(st1)
+	e1.SetBackend(st1)
 	cold := e1.Grammars(context.Background(), tj, false)
 	if got := e1.GrammarBuilds(); got != 1 {
 		t.Fatalf("cold GrammarBuilds = %d, want 1", got)
@@ -115,7 +115,7 @@ func TestGrammarStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := New(2)
-	e2.SetStore(st2)
+	e2.SetBackend(st2)
 	warm := e2.Grammars(context.Background(), tj, false)
 	if got := e2.GrammarBuilds(); got != 0 {
 		t.Errorf("warm GrammarBuilds = %d, want 0", got)
@@ -139,7 +139,7 @@ func TestGrammarStoreTier(t *testing.T) {
 	defer st3.Close()
 	st3.PutBlob(store.Address(store.KindGrammars, key), []byte("not a grammar"))
 	e3 := New(2)
-	e3.SetStore(st3)
+	e3.SetBackend(st3)
 	degraded := e3.Grammars(context.Background(), tj, false)
 	if got := e3.GrammarBuilds(); got != 1 {
 		t.Errorf("degraded GrammarBuilds = %d, want 1 (recompute)", got)

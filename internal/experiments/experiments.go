@@ -19,7 +19,6 @@ import (
 	"tifs/internal/isa"
 	"tifs/internal/sim"
 	"tifs/internal/stats"
-	"tifs/internal/store"
 	"tifs/internal/trace"
 	"tifs/internal/workload"
 )
@@ -41,30 +40,16 @@ type Options struct {
 	Cores int
 	// Workloads restricts the suite (empty = all six).
 	Workloads []string
-	// Parallelism bounds how many simulations, and how many of an
-	// analysis figure's workloads, run concurrently (0 = GOMAXPROCS,
-	// 1 = serial). Output is byte-identical at every setting: results
-	// are assembled in submission order and every simulation is
-	// deterministic in its configuration.
-	Parallelism int
-	// Engine overrides the simulation scheduler (nil selects the
-	// process-wide engine when Parallelism is 0 and neither Store nor
-	// Backend is set, or a fresh engine otherwise). Supplying one
-	// engine across several experiment runs shares its memoized results
-	// between them.
+	// Engine is the simulation scheduler the run submits to; nil selects
+	// the process-wide engine.Default(). The engine fixes the run's
+	// width (how many simulations, and how many of an analysis figure's
+	// workloads, run at once) and its persistent store backend, if any.
+	// Output is byte-identical whatever the engine: results are
+	// assembled in submission order, every simulation is deterministic
+	// in its configuration, and a store hit returns the bytes a
+	// simulation would. Supplying one engine across several experiment
+	// runs shares its memoized results between them.
 	Engine *engine.Engine
-	// Store attaches a persistent result store: simulations and miss
-	// traces already cached there are not re-run, and new ones are
-	// written back, so repeated invocations share work across processes.
-	// Results are byte-identical with or without it. Ignored when Engine
-	// is set (configure the engine directly instead).
-	Store *store.Store
-	// Backend attaches a result-store backend by interface — e.g. a
-	// remote store client — instead of a local Store. Takes precedence
-	// over Store; ignored when Engine is set. The backend's one-way
-	// defensiveness keeps output byte-identical whether it hits, misses,
-	// or degrades.
-	Backend store.Backend
 }
 
 func (o Options) withDefaults() Options {
@@ -86,15 +71,6 @@ func (o Options) ctx() context.Context {
 func (o Options) engine() *engine.Engine {
 	if o.Engine != nil {
 		return o.Engine
-	}
-	if o.Parallelism != 0 || o.Store != nil || o.Backend != nil {
-		e := engine.New(o.Parallelism)
-		if o.Backend != nil {
-			e.SetBackend(o.Backend)
-		} else {
-			e.SetStore(o.Store)
-		}
-		return e
 	}
 	return engine.Default()
 }

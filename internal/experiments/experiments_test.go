@@ -7,14 +7,16 @@ import (
 	"tifs/internal/engine"
 )
 
-// opts builds a reduced-scope option set backed by a fresh engine so the
-// two runs under comparison share no memoized state.
-func opts(parallelism int) Options {
+// opts builds a reduced-scope option set backed by a fresh engine of the
+// given width, closed when the test ends, so the two runs under
+// comparison share no memoized state.
+func opts(t *testing.T, parallelism int) Options {
+	e := engine.New(parallelism)
+	t.Cleanup(e.Close)
 	return Options{
-		Events:      10_000,
-		Workloads:   []string{"OLTP-DB2", "DSS-Qry17"},
-		Parallelism: parallelism,
-		Engine:      engine.New(parallelism),
+		Events:    10_000,
+		Workloads: []string{"OLTP-DB2", "DSS-Qry17"},
+		Engine:    e,
 	}
 }
 
@@ -27,8 +29,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q missing", id)
 		}
-		serial := r.Run(opts(1))
-		parallel := r.Run(opts(8))
+		serial := r.Run(opts(t, 1))
+		parallel := r.Run(opts(t, 8))
 		if serial != parallel {
 			t.Errorf("%s: parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s",
 				id, serial, parallel)

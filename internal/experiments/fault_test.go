@@ -34,10 +34,10 @@ func TestFaultGoldenBytesUnderTransientStoreFaults(t *testing.T) {
 	}
 
 	e := engine.New(8)
-	e.SetStore(st)
+	e.SetBackend(st)
 	for _, r := range Registry()[:3] {
 		want := readGolden(t, r.ID)
-		if got := r.Run(goldenOptions(8, e)); got != want {
+		if got := r.Run(goldenOptions(e)); got != want {
 			t.Errorf("%s: output under transient store faults diverged from golden:\n--- golden\n%s\n--- got\n%s",
 				r.ID, want, got)
 		}

@@ -26,17 +26,26 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment outputs")
 
 // goldenOptions is the fixed small-scale configuration every golden file
-// is rendered under. The reduced event budget keeps a full golden pass
-// (13 experiments x several execution modes) in CI seconds; any change
-// here invalidates every golden file, so regenerate them together.
-func goldenOptions(parallelism int, e *engine.Engine) Options {
+// is rendered under, on engine e. The reduced event budget keeps a full
+// golden pass (13 experiments x several execution modes) in CI seconds;
+// any change here invalidates every golden file, so regenerate them
+// together.
+func goldenOptions(e *engine.Engine) Options {
 	return Options{
-		Scale:       workload.ScaleSmall,
-		Events:      4_000,
-		Cores:       4,
-		Parallelism: parallelism,
-		Engine:      e,
+		Scale:  workload.ScaleSmall,
+		Events: 4_000,
+		Cores:  4,
+		Engine: e,
 	}
+}
+
+// runGolden renders one experiment under goldenOptions on a fresh engine
+// of the given width, closed afterwards, so no run reuses another's
+// memoized results.
+func runGolden(r Runner, width int) string {
+	e := engine.New(width)
+	defer e.Close()
+	return r.Run(goldenOptions(e))
 }
 
 func goldenPath(id string) string {
@@ -63,9 +72,8 @@ func TestGoldenOutputs(t *testing.T) {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		e := engine.New(0)
 		for _, r := range Registry() {
-			out := r.Run(goldenOptions(0, e))
+			out := runGolden(r, 0)
 			if err := os.WriteFile(goldenPath(r.ID), []byte(out), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -74,16 +82,14 @@ func TestGoldenOutputs(t *testing.T) {
 		return
 	}
 
-	serialEngine := engine.New(1)
-	parallelEngine := engine.New(8)
 	for _, r := range Registry() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
 			want := readGolden(t, r.ID)
-			if got := r.Run(goldenOptions(1, serialEngine)); got != want {
+			if got := runGolden(r, 1); got != want {
 				t.Errorf("serial output diverged from golden:\n--- golden\n%s\n--- got\n%s", want, got)
 			}
-			if got := r.Run(goldenOptions(8, parallelEngine)); got != want {
+			if got := runGolden(r, 8); got != want {
 				t.Errorf("parallel output diverged from golden:\n--- golden\n%s\n--- got\n%s", want, got)
 			}
 		})
@@ -217,7 +223,7 @@ func TestGoldenShardedMerge(t *testing.T) {
 		t.Skip("regenerating goldens")
 	}
 	// The expected "all" output is the goldens assembled in registry
-	// order, exactly as RunAll frames them.
+	// order, exactly as RunSelected frames them.
 	var wantAll strings.Builder
 	for _, r := range Registry() {
 		fmt.Fprintf(&wantAll, "== %s: %s\n\n", r.ID, r.Description)
@@ -225,7 +231,7 @@ func TestGoldenShardedMerge(t *testing.T) {
 		wantAll.WriteString("\n")
 	}
 
-	jobs, traces, err := Grid(nil, goldenOptions(0, nil))
+	jobs, traces, err := Grid(nil, goldenOptions(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +289,12 @@ func TestGoldenShardedMerge(t *testing.T) {
 			}
 			defer st.Close()
 			e := engine.New(8)
-			e.SetStore(st)
-			got := RunAll(goldenOptions(8, e))
+			defer e.Close()
+			e.SetBackend(st)
+			got, err := RunSelected(nil, goldenOptions(e), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if sims := e.SimulationsRun(); sims != 0 {
 				t.Errorf("merge pass re-simulated %d grid points; store coverage incomplete", sims)
 			}

@@ -20,11 +20,11 @@ func TestGridMatchesExecution(t *testing.T) {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
 			e := engine.New(4)
+			defer e.Close()
 			o := Options{
-				Events:      3_000,
-				Workloads:   []string{"OLTP-DB2", "Web-Zeus"},
-				Parallelism: 4,
-				Engine:      e,
+				Events:    3_000,
+				Workloads: []string{"OLTP-DB2", "Web-Zeus"},
+				Engine:    e,
 			}
 			out := r.Run(o)
 			if out == "" {

@@ -84,17 +84,6 @@ type Fig13Row struct {
 	Results  map[string]sim.Result
 }
 
-// Fig13 runs the full performance comparison (Section 6.5).
-func Fig13(o Options) ([]Fig13Row, string) {
-	return comparison(o, Fig13Mechanisms(),
-		"Fig. 13. Speedup over next-line prefetching")
-}
-
-// Comparison runs an arbitrary mechanism set against the baseline.
-func Comparison(o Options, mechs []sim.Mechanism, title string) ([]Fig13Row, string) {
-	return comparison(o, mechs, title)
-}
-
 // comparisonJobs enumerates a baseline-anchored comparison grid: for
 // each suite workload, the next-line baseline followed by every
 // mechanism under test (stride 1+len(mechs)). Fig13 and the speedup
@@ -111,13 +100,15 @@ func comparisonJobs(o Options, mechs []sim.Mechanism) []engine.Job {
 	return jobs
 }
 
-func comparison(o Options, mechs []sim.Mechanism, title string) ([]Fig13Row, string) {
+// Fig13 runs the full performance comparison (Section 6.5).
+func Fig13(o Options) ([]Fig13Row, string) {
 	o = o.withDefaults()
+	mechs := Fig13Mechanisms()
 	headers := []string{"Workload"}
 	for _, m := range mechs {
 		headers = append(headers, m.Name())
 	}
-	t := stats.NewTable(title, headers...)
+	t := stats.NewTable("Fig. 13. Speedup over next-line prefetching", headers...)
 	var rows []Fig13Row
 	perMechanism := make(map[string][]float64)
 

@@ -138,15 +138,6 @@ func ByID(id string) (Runner, bool) {
 	return Runner{}, false
 }
 
-// RunAll executes every registered experiment and concatenates the
-// rendered outputs in order. All runners share one engine, so the
-// simulations common to several figures (the next-line baselines, the
-// repeated TIFS configurations, the per-workload miss traces) run once.
-func RunAll(o Options) string {
-	out, _ := RunSelected(nil, o, nil)
-	return out
-}
-
 // Progress observes a multi-experiment run: it is called with each
 // experiment's ID before it runs (done=false) and again when its output
 // is complete (done=true). The sweep service streams these as job
@@ -155,11 +146,11 @@ type Progress func(id string, done bool)
 
 // RunSelected executes the named experiments (the full registry, in
 // paper order, when ids is empty) sharing one engine, so work common to
-// several experiments runs once. A single id renders that experiment's
-// bare output — byte-identical to RunExperiment/tifsbench -experiment
-// <id>; several (or all) render the "== id: description" sectioned
-// concatenation RunAll produces. An unknown id fails before anything
-// runs.
+// several experiments (the next-line baselines, the repeated TIFS
+// configurations, the per-workload miss traces) runs once. A single id
+// renders that experiment's bare output, as tifsbench -experiment <id>
+// prints it; several (or none) render the "== id: description"
+// sectioned concatenation. An unknown id fails before anything runs.
 func RunSelected(ids []string, o Options, progress Progress) (string, error) {
 	runners := make([]Runner, 0, len(ids))
 	if len(ids) == 0 {

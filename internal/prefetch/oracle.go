@@ -6,56 +6,12 @@ import (
 	"tifs/internal/xrand"
 )
 
-// Perfect is the "Perfect" bar of Fig. 13: every L1-I miss to a block that
-// is on chip (i.e., fetched at least once before) is satisfied instantly.
-// First-touch misses still go to memory, exactly as in the paper's
-// probabilistic model at 100% coverage (Section 2).
-type Perfect struct {
-	seen  flathash.Map
-	stats Stats
-}
-
-// NewPerfect returns a perfect streamer.
-func NewPerfect() *Perfect {
-	return &Perfect{}
-}
-
-// Reset restores the freshly constructed state, keeping the seen table's
-// capacity for reuse across pooled simulation runs.
-func (p *Perfect) Reset() {
-	p.seen.Reset()
-	p.stats = Stats{}
-}
-
-// Name implements Prefetcher.
-func (p *Perfect) Name() string { return "perfect" }
-
-// OnWindow implements Prefetcher.
-func (p *Perfect) OnWindow([]isa.BlockEvent, uint64) {}
-
-// OnFetchBlock implements Prefetcher.
-func (p *Perfect) OnFetchBlock(b isa.Block, outcome FetchOutcome, now uint64) {
-	p.seen.Put(uint64(b), 1)
-}
-
-// OnEvent implements Prefetcher.
-func (p *Perfect) OnEvent(isa.BlockEvent, uint64) {}
-
-// Probe implements Prefetcher: instant hit for any previously seen block.
-func (p *Perfect) Probe(b isa.Block, now uint64) (uint64, bool) {
-	if p.seen.Contains(uint64(b)) {
-		p.stats.HitsTimely++
-		return now, true
-	}
-	return 0, false
-}
-
-// Stats implements Prefetcher.
-func (p *Perfect) Stats() Stats { return p.stats }
-
 // Probabilistic is the Fig. 1 opportunity-study mechanism: each L1-I miss
-// to an on-chip block is converted into an instant prefetch hit with
-// probability equal to the configured coverage.
+// to an on-chip block (one fetched at least once before) is converted
+// into an instant prefetch hit with probability equal to the configured
+// coverage. At coverage 1 it is the "Perfect" bar of Fig. 13: every such
+// miss hits, and only first-touch misses still go to memory, as in the
+// paper's probabilistic model at 100% coverage (Section 2).
 type Probabilistic struct {
 	coverage float64
 	seen     flathash.Map

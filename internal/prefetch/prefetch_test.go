@@ -55,8 +55,11 @@ func TestNonePrefetcher(t *testing.T) {
 	}
 }
 
+// TestPerfectHitsSeenBlocks: the perfect streamer is the probabilistic
+// model at coverage 1. An unseen block misses; a block fetched before is
+// an instant, timely hit.
 func TestPerfectHitsSeenBlocks(t *testing.T) {
-	p := NewPerfect()
+	p := NewProbabilistic(1, "t")
 	if _, ok := p.Probe(5, 10); ok {
 		t.Error("unseen block must miss")
 	}

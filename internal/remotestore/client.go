@@ -155,19 +155,14 @@ func (s Stats) String() string {
 }
 
 // NewClient connects to a tifsserve base URL ("http://host:9441").
+// ctx bounds every operation the client performs, including retry
+// backoff waits and recovery flushes. Cancel it to make an in-flight
+// retry schedule against a dead server return promptly (graceful
+// shutdown); operations after cancellation degrade to misses and queued
+// write-backs exactly like an outage. A nil ctx never cancels.
 // httpClient may be nil (http.DefaultClient); tests inject a
 // netfault-wrapped transport through it.
-func NewClient(base string, httpClient *http.Client) *Client {
-	return NewClientContext(context.Background(), base, httpClient)
-}
-
-// NewClientContext is NewClient with a base context bounding every
-// operation the client performs, including retry backoff waits and
-// recovery flushes. Cancel it to make an in-flight retry schedule
-// against a dead server return promptly (graceful shutdown); operations
-// after cancellation degrade to misses and queued write-backs exactly
-// like an outage.
-func NewClientContext(ctx context.Context, base string, httpClient *http.Client) *Client {
+func NewClient(ctx context.Context, base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}

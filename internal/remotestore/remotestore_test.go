@@ -44,7 +44,7 @@ func testClient(base string, f *netfault.Fault) *Client {
 	if f != nil {
 		hc = &http.Client{Transport: f}
 	}
-	c := NewClient(base, hc)
+	c := NewClient(context.Background(), base, hc)
 	c.Retry.Sleep = func(time.Duration) {}
 	c.HedgeDelay = -1 // tests opt in explicitly
 	c.Timeout = 10 * time.Second
@@ -475,7 +475,7 @@ func TestCancelMidBackoffReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// Nothing listens on this address: every attempt fails fast with
 	// ECONNREFUSED and the schedule spends its time in backoff sleeps.
-	c := NewClientContext(ctx, "http://127.0.0.1:1", nil)
+	c := NewClient(ctx, "http://127.0.0.1:1", nil)
 	c.Timeout = time.Second
 	c.HedgeDelay = -1
 	c.Retry.Attempts = 10

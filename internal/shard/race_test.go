@@ -89,7 +89,7 @@ func TestShardedSweepCooperates(t *testing.T) {
 					len(jobs), len(traces))
 			}
 			merged := engine.New(4)
-			merged.SetStore(st)
+			merged.SetBackend(st)
 			mergedResults := merged.RunAll(context.Background(), g.Jobs)
 			var mergedTraces [][][]int // compact shape probe: (trace, core) -> record count
 			for _, tj := range g.Traces {
@@ -180,7 +180,7 @@ func TestHalfFinishedShardResumes(t *testing.T) {
 	}
 	half := g.Shard(0, 1)
 	partial := engine.New(2)
-	partial.SetStore(st1)
+	partial.SetBackend(st1)
 	done := len(half.Jobs) / 2
 	partial.RunAll(context.Background(), half.Jobs[:done])
 	st1.Close()

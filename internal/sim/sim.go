@@ -22,16 +22,14 @@ import (
 )
 
 // Mechanism selects the additional instruction prefetcher attached to
-// every core (the base system always includes next-line).
+// every core (the base system always includes next-line). FDIP and the
+// discontinuity predictor run at their paper-tuned defaults.
 type Mechanism struct {
-	// Kind is one of the Kind* constants.
+	// Kind is one of the Kind* constants. It stays the first field, so
+	// a job key's printed form reads "Mechanism:{Kind:<kind>".
 	Kind string
 	// TIFS configures the TIFS variants (KindTIFS).
 	TIFS core.Config
-	// FDIP configures fetch-directed prefetching (KindFDIP).
-	FDIP prefetch.FDIPConfig
-	// Discontinuity configures the discontinuity predictor.
-	Discontinuity prefetch.DiscontinuityConfig
 	// Coverage sets the probabilistic mechanism's coverage (KindProb).
 	Coverage float64
 }
@@ -46,7 +44,8 @@ const (
 	KindDiscontinuity = "discontinuity"
 	// KindTIFS is temporal instruction fetch streaming.
 	KindTIFS = "tifs"
-	// KindPerfect is the perfect streamer upper bound.
+	// KindPerfect is the perfect streamer upper bound: the
+	// probabilistic mechanism at coverage 1.
 	KindPerfect = "perfect"
 	// KindProb is the Fig. 1 probabilistic mechanism.
 	KindProb = "probabilistic"
@@ -61,7 +60,9 @@ func FDIP() Mechanism { return Mechanism{Kind: KindFDIP} }
 // TIFS wraps a TIFS configuration.
 func TIFS(cfg core.Config) Mechanism { return Mechanism{Kind: KindTIFS, TIFS: cfg} }
 
-// Perfect returns the perfect-streaming upper bound.
+// Perfect returns the perfect-streaming upper bound: every miss to a
+// block fetched before is an instant prefetch hit, as in the paper's
+// probabilistic model at 100% coverage (Section 2).
 func Perfect() Mechanism { return Mechanism{Kind: KindPerfect} }
 
 // Probabilistic returns the Fig. 1 mechanism at the given coverage.
@@ -263,8 +264,7 @@ type Runner struct {
 	tifs  *core.TIFS
 	fdip  []*prefetch.FDIP
 	disc  []*prefetch.Discontinuity
-	perf  []*prefetch.Perfect
-	prob  []*prefetch.Probabilistic
+	prob  []*prefetch.Probabilistic // also the perfect streamer
 
 	// probSeeds caches the per-core seed strings of the probabilistic
 	// mechanism for the workload named probSpec.
@@ -335,7 +335,6 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 		r.tifs = nil
 		r.fdip = nil
 		r.disc = nil
-		r.perf = nil
 		r.prob = nil
 	}
 
@@ -360,9 +359,9 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 				r.fdip = make([]*prefetch.FDIP, cfg.Cores)
 			}
 			if r.fdip[i] == nil {
-				r.fdip[i] = prefetch.NewFDIP(cfg.Mechanism.FDIP, i, un, c)
+				r.fdip[i] = prefetch.NewFDIP(prefetch.FDIPConfig{}, i, un, c)
 			} else {
-				r.fdip[i].Reset(cfg.Mechanism.FDIP)
+				r.fdip[i].Reset(prefetch.FDIPConfig{})
 			}
 			pf = r.fdip[i]
 		case KindDiscontinuity:
@@ -370,9 +369,9 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 				r.disc = make([]*prefetch.Discontinuity, cfg.Cores)
 			}
 			if r.disc[i] == nil {
-				r.disc[i] = prefetch.NewDiscontinuity(cfg.Mechanism.Discontinuity, i, un, c)
+				r.disc[i] = prefetch.NewDiscontinuity(prefetch.DiscontinuityConfig{}, i, un, c)
 			} else {
-				r.disc[i].Reset(cfg.Mechanism.Discontinuity)
+				r.disc[i].Reset(prefetch.DiscontinuityConfig{})
 			}
 			pf = r.disc[i]
 		case KindTIFS:
@@ -387,25 +386,20 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 				tifs = r.tifs
 			}
 			pf = tifs.Core(i)
-		case KindPerfect:
-			if r.perf == nil {
-				r.perf = make([]*prefetch.Perfect, cfg.Cores)
+		case KindProb, KindPerfect:
+			coverage := cfg.Mechanism.Coverage
+			if cfg.Mechanism.Kind == KindPerfect {
+				// At coverage 1 the generator is never drawn from.
+				coverage = 1
 			}
-			if r.perf[i] == nil {
-				r.perf[i] = prefetch.NewPerfect()
-			} else {
-				r.perf[i].Reset()
-			}
-			pf = r.perf[i]
-		case KindProb:
 			if r.prob == nil {
 				r.prob = make([]*prefetch.Probabilistic, cfg.Cores)
 			}
 			seed := r.probSeed(spec.Name, i, cfg.Cores)
 			if r.prob[i] == nil {
-				r.prob[i] = prefetch.NewProbabilistic(cfg.Mechanism.Coverage, seed)
+				r.prob[i] = prefetch.NewProbabilistic(coverage, seed)
 			} else {
-				r.prob[i].Reset(cfg.Mechanism.Coverage, seed)
+				r.prob[i].Reset(coverage, seed)
 			}
 			pf = r.prob[i]
 		default:

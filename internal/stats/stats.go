@@ -52,18 +52,6 @@ func (h *Histogram) Values() []int {
 	return vs
 }
 
-// Mean returns the arithmetic mean of the observations (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	return sum / float64(h.total)
-}
-
 // Percentile returns the smallest observed value v such that at least
 // p (0..1) of the observations are <= v. Returns 0 for an empty histogram.
 func (h *Histogram) Percentile(p float64) int {
@@ -186,20 +174,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // GeoMean returns the geometric mean of xs; all values must be positive.
 // Speedup aggregation across workloads conventionally uses the geometric
 // mean.
@@ -256,9 +230,6 @@ func FitLinear(x, y []float64) LinearFit {
 	return fit
 }
 
-// At evaluates the fitted line at x.
-func (f LinearFit) At(x float64) float64 { return f.Slope*x + f.Intercept }
-
 // Categories accumulates named counts and reports fractions in a fixed
 // declaration order; it backs the stacked-bar figures (Fig. 3's
 // Opportunity/Head/New/Non-repetitive and Fig. 12's Coverage/Miss/Discard).
@@ -312,16 +283,6 @@ func (c *Categories) Fraction(name string) float64 {
 		return 0
 	}
 	return float64(c.counts[name]) / float64(t)
-}
-
-// FractionOf returns count(name)/denom, the form used when bars are
-// normalized to an external baseline (Fig. 12 normalizes to L1 fetch
-// misses, which is not the sum of its categories).
-func (c *Categories) FractionOf(name string, denom uint64) float64 {
-	if denom == 0 {
-		return 0
-	}
-	return float64(c.counts[name]) / float64(denom)
 }
 
 // Pct formats a 0..1 fraction as a percentage string like "93.8%".

@@ -51,8 +51,8 @@ func TestTableAddRowf(t *testing.T) {
 	if !strings.Contains(out, "42") || !strings.Contains(out, "0.5") {
 		t.Errorf("AddRowf output = %q", out)
 	}
-	if tb.NumRows() != 1 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 1 {
+		t.Errorf("rows = %d, want 1", len(tb.rows))
 	}
 }
 

@@ -170,27 +170,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p: the number of failures before the first success (>= 0).
-// Used for burst and run-length sampling in the workload models.
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("xrand: Geometric with non-positive p")
-	}
-	n := 0
-	for !r.Bool(p) {
-		n++
-		if n > 1<<20 {
-			// Pathological p; cap to keep simulations bounded.
-			return n
-		}
-	}
-	return n
-}
-
 // ZipfTable is a precomputed inverse-CDF sampler for a Zipf distribution
 // over [0, n) with skew s. Rank 0 is the most popular element. Workload
 // construction uses Zipf popularity for transaction types, call sites, and

@@ -163,23 +163,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(17)
-	const p, draws = 0.25, 50000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		sum += r.Geometric(p)
-	}
-	mean := float64(sum) / draws
-	want := (1 - p) / p // 3.0
-	if math.Abs(mean-want) > 0.1 {
-		t.Errorf("Geometric(0.25) mean = %f, want ~%f", mean, want)
-	}
-	if got := r.Geometric(1); got != 0 {
-		t.Errorf("Geometric(1) = %d, want 0", got)
-	}
-}
-
 func TestZipfTableSkew(t *testing.T) {
 	r := New(23)
 	z := NewZipfTable(100, 1.0)

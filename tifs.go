@@ -12,8 +12,16 @@
 //   - the cycle-accounted CMP simulator with pluggable prefetchers —
 //     next-line baseline, FDIP, the TIFS variants, and bounds
 //     (Simulate, mechanism constructors);
+//   - the memoizing engine that batches simulations, optionally over a
+//     persistent local or remote result store (NewSimEngine,
+//     OpenResultStore, DialRemoteStore);
 //   - every evaluation experiment as a named runner
-//     (Experiments, RunExperiment).
+//     (Experiments, RunExperiments), and sharded sweeps of their grid
+//     (ExperimentGrid, ShardedSweep, ShardedSweepAuto).
+//
+// Each job has one entry point. A batch of simulations is
+// NewSimEngine(parallelism, store).RunAll(ctx, jobs); an experiment run
+// hands such an engine to ExperimentOptions.Engine.
 //
 // See examples/quickstart for a three-call tour, and the README's
 // "Substitutions" section for what stands in for the paper's
@@ -174,14 +182,6 @@ func NewSimRunner() *SimRunner { return sim.NewRunner() }
 // batched execution.
 type SimJob = engine.Job
 
-// SimulateAll runs a batch of simulations concurrently across at most
-// parallelism goroutines (0 = GOMAXPROCS) and returns the results in job
-// order. Duplicate jobs are simulated once and share their result;
-// output is identical to running each job serially.
-func SimulateAll(jobs []SimJob, parallelism int) []SimResult {
-	return engine.New(parallelism).RunAll(context.Background(), jobs)
-}
-
 // ResultStore is a persistent, content-addressed cache of simulation
 // results and miss traces, shared across processes. See OpenResultStore.
 type ResultStore = store.Store
@@ -190,39 +190,12 @@ type ResultStore = store.Store
 type ResultStoreStats = store.Stats
 
 // OpenResultStore opens (creating if needed) a result store rooted at
-// dir. Attach it to ExperimentOptions.Store or SimulateAllStored to skip
-// already-simulated grid points across CLI invocations. Stores written
-// by an incompatible format version are discarded on open; corrupt or
-// truncated entries fall back to simulation, never to wrong results.
+// dir. Attach it to an engine with NewSimEngine, and that engine to
+// ExperimentOptions.Engine, to skip already-simulated grid points across
+// CLI invocations. Stores written by an incompatible format version are
+// discarded on open; corrupt or truncated entries fall back to
+// simulation, never to wrong results.
 func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) }
-
-// SimulateAllStored is SimulateAll backed by a persistent result store
-// (nil behaves exactly like SimulateAll). Results are byte-identical
-// with or without the store.
-func SimulateAllStored(jobs []SimJob, parallelism int, st *ResultStore) []SimResult {
-	return SimulateAllStoredContext(context.Background(), jobs, parallelism, st)
-}
-
-// SimulateAllStoredContext is SimulateAllStored bounded by a context:
-// cancellation stops scheduling new simulations, unblocks waiters, and
-// leaves unfinished slots as zero Results (treat the batch as invalid
-// once ctx is cancelled). Everything simulated before the cancellation
-// is already written to the store.
-func SimulateAllStoredContext(ctx context.Context, jobs []SimJob, parallelism int, st *ResultStore) []SimResult {
-	e := engine.New(parallelism)
-	e.SetStore(st)
-	return e.RunAll(ctx, jobs)
-}
-
-// SimulateAllBackendContext is SimulateAllStoredContext over any store
-// backend — local, remote, or nil (no persistence). Results remain
-// byte-identical whichever backend is attached, and whether it hits,
-// misses, or degrades.
-func SimulateAllBackendContext(ctx context.Context, jobs []SimJob, parallelism int, st StoreBackend) []SimResult {
-	e := engine.New(parallelism)
-	e.SetBackend(st)
-	return e.RunAll(ctx, jobs)
-}
 
 // StoreCompaction reports what a result-store GC pass reclaimed.
 type StoreCompaction = store.CompactStats
@@ -259,39 +232,89 @@ func ExperimentGrid(ids []string, o ExperimentOptions) (SweepGrid, error) {
 // sweep.
 type ShardReport = shard.Report
 
+// StoreLocation names the store a sharded sweep's workers share: either
+// a store directory (Dir; for several machines, on a shared filesystem)
+// or a tifsserve base URL (URL), never both. Over a URL, blobs travel
+// through the remote store client, the lease manifest lives on the
+// server and is updated by compare-and-swap, and HTTPClient (nil =
+// http.DefaultClient) carries the traffic, so a fault-injecting
+// transport (NetFaultTransport) can stand in.
+type StoreLocation struct {
+	Dir, URL   string
+	HTTPClient *http.Client
+}
+
 // ShardedSweep runs shard index of count over the grid, as one worker of
-// a multi-process (or multi-machine, via a shared filesystem) sweep
-// rooted at the store directory dir. The grid partitions by the SHA-256
-// of each grid point's canonical key, so all workers agree on ownership
-// without talking to each other; the lease manifest in dir additionally
-// records the claim so peers can detect and take over a dead worker's
-// shard. Grid points already present in the store are skipped. After
-// every shard completes, a merge pass — any normal experiment run with
-// the store attached, e.g. tifsbench -merge — assembles output
-// byte-identical to a single-process run from store hits alone.
+// a multi-process or multi-machine sweep over the store at loc, running
+// at most parallelism simulations at once (0 = GOMAXPROCS). The grid
+// partitions by the SHA-256 of each grid point's canonical key, so all
+// workers agree on ownership without talking to each other; the lease
+// manifest additionally records the claim so peers can detect and take
+// over a dead worker's shard. Grid points already present in the store
+// are skipped. After every shard completes, a merge pass — any normal
+// experiment run on an engine over the same store, e.g. tifsbench
+// -merge — assembles output byte-identical to a single-process run from
+// store hits alone.
+//
+// Over a URL, store operations degrade under server outages (compute
+// locally, queue write-backs, reconcile on recovery); lease coordination
+// deliberately does not — an outage longer than the lease TTL surfaces
+// as a lost lease, exactly as it must.
 //
 // Cancelling ctx aborts the shard at the next batch boundary: the lease
 // is released (so a fresh worker can claim the shard immediately rather
 // than waiting out the TTL), everything simulated so far stays in the
 // store, and the partial report returns alongside ctx's error.
-func ShardedSweep(ctx context.Context, dir string, index, count int, g SweepGrid, o ExperimentOptions) (ShardReport, error) {
-	st, err := store.Open(dir)
+func ShardedSweep(ctx context.Context, loc StoreLocation, index, count int, g SweepGrid, parallelism int) (ShardReport, error) {
+	c, st, closeStore, err := openSweep(ctx, loc, g, count)
 	if err != nil {
-		return ShardReport{}, fmt.Errorf("tifs: %w", err)
+		return ShardReport{}, err
 	}
-	defer st.Close()
-	return sweepShard(ctx, shard.NewCoordinator(dir, g, count), st, g, index, count, o)
+	defer closeStore()
+	return sweepShard(ctx, c, st, g, index, count, parallelism)
+}
+
+// ShardedSweepAuto is ShardedSweep with lease-based self-assignment: the
+// worker claims unclaimed (or expired) shards one after another until
+// none remain, returning a report per shard it ran. Launch N such
+// workers against one location to run a whole sweep with no manual
+// shard numbering.
+func ShardedSweepAuto(ctx context.Context, loc StoreLocation, count int, g SweepGrid, parallelism int) ([]ShardReport, error) {
+	c, st, closeStore, err := openSweep(ctx, loc, g, count)
+	if err != nil {
+		return nil, err
+	}
+	defer closeStore()
+	return sweepAuto(ctx, c, st, g, count, parallelism)
+}
+
+// openSweep opens the store and lease coordinator at loc. It rejects a
+// location with both or neither of Dir and URL before opening anything.
+func openSweep(ctx context.Context, loc StoreLocation, g SweepGrid, count int) (*shard.Coordinator, StoreBackend, func(), error) {
+	switch {
+	case (loc.Dir == "") == (loc.URL == ""):
+		return nil, nil, nil, fmt.Errorf("tifs: a store location needs exactly one of Dir and URL, got Dir %q and URL %q", loc.Dir, loc.URL)
+	case loc.URL != "":
+		client := remotestore.NewClient(ctx, loc.URL, loc.HTTPClient)
+		c := shard.NewCoordinatorBackend(remotestore.NewManifestClient(loc.URL, loc.HTTPClient), g, count)
+		return c, client, func() { client.Close() }, nil
+	}
+	st, err := store.Open(loc.Dir)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("tifs: %w", err)
+	}
+	return shard.NewCoordinator(loc.Dir, g, count), st, func() { st.Close() }, nil
 }
 
 // sweepShard claims, runs, and settles one shard against any coordinator
 // backend (local flock manifest or remote CAS manifest) and any store
 // backend (local directory or remote client).
-func sweepShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count int, o ExperimentOptions) (ShardReport, error) {
+func sweepShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count, parallelism int) (ShardReport, error) {
 	owner := sweepOwner()
 	if err := c.Claim(index, owner); err != nil {
 		return ShardReport{}, fmt.Errorf("tifs: %w", err)
 	}
-	rep, err := runShard(ctx, c, st, g, index, count, owner, o)
+	rep, err := runShard(ctx, c, st, g, index, count, owner, parallelism)
 	if err != nil {
 		// Hand the shard back — unless the run died because the lease was
 		// (or is presumed) lost, in which case a successor may already own
@@ -306,23 +329,9 @@ func sweepShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g Sw
 	return rep, nil
 }
 
-// ShardedSweepAuto is ShardedSweep with lease-based self-assignment: the
-// worker claims unclaimed (or expired) shards one after another until
-// none remain, returning a report per shard it ran. Launch N such
-// workers against one dir to run a whole sweep with no manual shard
-// numbering.
-func ShardedSweepAuto(ctx context.Context, dir string, count int, g SweepGrid, o ExperimentOptions) ([]ShardReport, error) {
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tifs: %w", err)
-	}
-	defer st.Close()
-	return sweepAuto(ctx, shard.NewCoordinator(dir, g, count), st, g, count, o)
-}
-
 // sweepAuto is the self-assigning claim loop over any coordinator and
 // store backend pair.
-func sweepAuto(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, count int, o ExperimentOptions) ([]ShardReport, error) {
+func sweepAuto(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, count, parallelism int) ([]ShardReport, error) {
 	owner := sweepOwner()
 	var reports []ShardReport
 	for {
@@ -336,7 +345,7 @@ func sweepAuto(ctx context.Context, c *shard.Coordinator, st StoreBackend, g Swe
 		if !ok {
 			return reports, nil
 		}
-		rep, err := runShard(ctx, c, st, g, index, count, owner, o)
+		rep, err := runShard(ctx, c, st, g, index, count, owner, parallelism)
 		if err != nil {
 			c.ReleaseAfter(err, index, owner)
 			return reports, err
@@ -357,8 +366,8 @@ func MissingFromStore(st StoreBackend, g SweepGrid) (jobs []SimJob, traces []Tra
 
 // runShard executes one shard against an open store backend under a live
 // lease.
-func runShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count int, owner string, o ExperimentOptions) (ShardReport, error) {
-	rep, err := shard.Run(ctx, st, g, index, count, o.Parallelism, func() error {
+func runShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count int, owner string, parallelism int) (ShardReport, error) {
+	rep, err := shard.Run(ctx, st, g, index, count, parallelism, func() error {
 		return c.Renew(index, owner)
 	}, c.RenewInterval(), c.TTL)
 	if err != nil {
@@ -397,56 +406,16 @@ type RemoteStore = remotestore.Client
 type RemoteStoreStats = remotestore.Stats
 
 // DialRemoteStore connects to a tifsserve base URL (e.g.
-// "http://host:8419"). httpClient nil uses http.DefaultClient; pass a
-// custom client to set transport options or inject faults
-// (NetFaultTransport). Dialing performs no I/O — a dead server surfaces
-// as degraded operation, not a constructor error; use Ping to probe.
-// Close the client to flush queued write-backs.
-func DialRemoteStore(base string, httpClient *http.Client) *RemoteStore {
-	return remotestore.NewClient(base, httpClient)
-}
-
-// DialRemoteStoreContext is DialRemoteStore with a base context: every
-// store operation (including retry backoff sleeps and queued write-back
-// flushes) aborts promptly when ctx is cancelled, so an interrupted
-// worker stops waiting on a dead server instead of riding out its
-// backoff schedule.
-func DialRemoteStoreContext(ctx context.Context, base string, httpClient *http.Client) *RemoteStore {
-	return remotestore.NewClientContext(ctx, base, httpClient)
-}
-
-// NewSimEngineBackend is NewSimEngine backed by a store backend (local
-// or remote) instead of a local store handle.
-func NewSimEngineBackend(parallelism int, st StoreBackend) *SimEngine {
-	e := engine.New(parallelism)
-	e.SetBackend(st)
-	return e
-}
-
-// RemoteShardedSweep is ShardedSweep coordinated through a tifsserve
-// URL instead of a shared store directory: blobs travel over the remote
-// store client and the lease manifest lives on the server, updated by
-// compare-and-swap, so workers on different machines need share nothing
-// but the URL. Results merge byte-identical to a local or storeless run.
-//
-// Store operations degrade under server outages (compute locally, queue
-// write-backs, reconcile on recovery); lease coordination deliberately
-// does not — an outage longer than the lease TTL surfaces as a lost
-// lease, exactly as it must.
-func RemoteShardedSweep(ctx context.Context, url string, httpClient *http.Client, index, count int, g SweepGrid, o ExperimentOptions) (ShardReport, error) {
-	client := remotestore.NewClientContext(ctx, url, httpClient)
-	defer client.Close()
-	c := shard.NewCoordinatorBackend(remotestore.NewManifestClient(url, httpClient), g, count)
-	return sweepShard(ctx, c, client, g, index, count, o)
-}
-
-// RemoteShardedSweepAuto is ShardedSweepAuto against a tifsserve URL:
-// lease-based self-assignment with no shared filesystem.
-func RemoteShardedSweepAuto(ctx context.Context, url string, httpClient *http.Client, count int, g SweepGrid, o ExperimentOptions) ([]ShardReport, error) {
-	client := remotestore.NewClientContext(ctx, url, httpClient)
-	defer client.Close()
-	c := shard.NewCoordinatorBackend(remotestore.NewManifestClient(url, httpClient), g, count)
-	return sweepAuto(ctx, c, client, g, count, o)
+// "http://host:8419"). Every store operation, including retry backoff
+// sleeps and queued write-back flushes, aborts promptly once ctx is
+// cancelled, so an interrupted worker stops waiting on a dead server.
+// httpClient nil uses http.DefaultClient; pass a custom client to set
+// transport options or inject faults (NetFaultTransport). Dialing
+// performs no I/O — a dead server surfaces as degraded operation, not a
+// constructor error; use Ping to probe. Close the client to flush queued
+// write-backs.
+func DialRemoteStore(ctx context.Context, base string, httpClient *http.Client) *RemoteStore {
+	return remotestore.NewClient(ctx, base, httpClient)
 }
 
 // NetFaultTransport builds a deterministic fault-injecting HTTP
@@ -468,24 +437,33 @@ func NetFaultTransport(spec string, inner http.RoundTripper) (http.RoundTripper,
 }
 
 // SimEngine is the concurrency-bounded, memoizing simulation scheduler
-// experiments run on. Supplying one engine to several experiment runs
+// experiments run on. RunAll(ctx, jobs) simulates a batch across the
+// engine's workers and returns the results in job order; duplicate jobs
+// run once, and output is identical to running each job serially.
+// Cancelling ctx stops scheduling and leaves unfinished slots as zero
+// Results, so treat the batch as invalid once ctx is cancelled.
+// Supplying one engine to several experiment runs
 // (ExperimentOptions.Engine) shares memoized simulations between them;
-// its counters say how much work a run actually performed.
+// its counters say how much work a run actually performed. Close it when
+// done to release its pooled simulation machines.
 type SimEngine = engine.Engine
 
 // NewSimEngine creates an engine running at most parallelism
-// simulations at once (0 = GOMAXPROCS), optionally backed by a
-// persistent result store (nil = in-process memo only).
-func NewSimEngine(parallelism int, st *ResultStore) *SimEngine {
+// simulations at once (0 = GOMAXPROCS, 1 = serial), optionally backed by
+// a persistent store backend: a local *ResultStore or a *RemoteStore
+// (nil = in-process memo only). Results are byte-identical whichever
+// backend is attached, and whether it hits, misses, or degrades.
+func NewSimEngine(parallelism int, st StoreBackend) *SimEngine {
 	e := engine.New(parallelism)
-	e.SetStore(st)
+	e.SetBackend(st)
 	return e
 }
 
-// ExperimentOptions scope an experiment run. Parallelism bounds how many
-// simulations, and how many of an analysis figure's workloads, run
-// concurrently (0 = GOMAXPROCS, 1 = serial); rendered tables are
-// byte-identical at every setting.
+// ExperimentOptions scope an experiment run: workload scale and subset,
+// event budget, core count, a cancellation context, and the engine the
+// run submits to (nil = the process-wide engine at GOMAXPROCS width,
+// with no store). Rendered tables are byte-identical whatever the
+// engine's width or store.
 type ExperimentOptions = experiments.Options
 
 // Experiment is a named, runnable reproduction of one paper table or
@@ -495,26 +473,14 @@ type Experiment = experiments.Runner
 // Experiments lists every reproducible table/figure and ablation.
 func Experiments() []Experiment { return experiments.Registry() }
 
-// RunExperiment executes one experiment by ID ("fig1", "fig3", "fig5",
-// "fig6", "fig10", "fig11", "fig12", "fig13", "table1", "table2",
-// "ablation-svb", "ablation-eos", "ablation-drops") and returns its
-// rendered table.
-func RunExperiment(id string, o ExperimentOptions) (string, error) {
-	r, ok := experiments.ByID(id)
-	if !ok {
-		return "", fmt.Errorf("tifs: unknown experiment %q (have %v)", id, experiments.IDs())
-	}
-	return r.Run(o), nil
-}
-
-// RunAllExperiments executes the full registry in paper order.
-func RunAllExperiments(o ExperimentOptions) string { return experiments.RunAll(o) }
-
-// RunExperiments executes the named experiments (all of them when ids
-// is empty) sharing one engine, so simulations common to several
-// figures run once. One id renders that experiment's bare output
-// (byte-identical to RunExperiment); several render the sectioned
-// concatenation RunAllExperiments produces.
+// RunExperiments executes the named experiments ("fig1", "fig3",
+// "fig5", "fig6", "fig10", "fig11", "fig12", "fig13", "table1",
+// "table2", "ablation-svb", "ablation-eos", "ablation-drops"; all of
+// them, in paper order, when ids is empty) sharing one engine, so
+// simulations common to several figures run once. One id renders that
+// experiment's bare table; several, or none, render the "== id:
+// description" sectioned concatenation. An unknown id fails before
+// anything runs.
 func RunExperiments(ids []string, o ExperimentOptions) (string, error) {
 	out, err := experiments.RunSelected(ids, o, nil)
 	if err != nil {

@@ -2,7 +2,12 @@ package tifs_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tifs"
@@ -60,14 +65,14 @@ func TestExperimentRegistryAPI(t *testing.T) {
 	if len(tifs.Experiments()) < 13 {
 		t.Errorf("registry has %d entries", len(tifs.Experiments()))
 	}
-	out, err := tifs.RunExperiment("table2", tifs.ExperimentOptions{Scale: tifs.ScaleSmall})
+	out, err := tifs.RunExperiments([]string{"table2"}, tifs.ExperimentOptions{Scale: tifs.ScaleSmall})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "8MB 16-way") {
 		t.Errorf("table2 output missing L2 row:\n%s", out)
 	}
-	if _, err := tifs.RunExperiment("fig99", tifs.ExperimentOptions{}); err == nil {
+	if _, err := tifs.RunExperiments([]string{"fig99"}, tifs.ExperimentOptions{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -96,7 +101,7 @@ func TestShardedSweepAPI(t *testing.T) {
 
 	var total int
 	for index := 0; index < 2; index++ {
-		rep, err := tifs.ShardedSweep(context.Background(), dir, index, 2, grid, o)
+		rep, err := tifs.ShardedSweep(context.Background(), tifs.StoreLocation{Dir: dir}, index, 2, grid, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,14 +121,14 @@ func TestShardedSweepAPI(t *testing.T) {
 	}
 	e := tifs.NewSimEngine(0, st)
 	o.Engine = e
-	merged, err := tifs.RunExperiment("fig13", o)
+	merged, err := tifs.RunExperiments([]string{"fig13"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := e.SimulationsRun(); n != 0 {
 		t.Errorf("merge re-simulated %d grid points", n)
 	}
-	direct, err := tifs.RunExperiment("fig13", tifs.ExperimentOptions{
+	direct, err := tifs.RunExperiments([]string{"fig13"}, tifs.ExperimentOptions{
 		Scale:     tifs.ScaleSmall,
 		Events:    3_000,
 		Workloads: []string{"OLTP-DB2"},
@@ -136,8 +141,46 @@ func TestShardedSweepAPI(t *testing.T) {
 	}
 }
 
+// TestShardedSweepRejectsAmbiguousLocation: a store location must name
+// exactly one of a directory and a URL. Both sweep entry points refuse
+// either mistake before they open a store or claim a lease, so neither
+// the directory nor the server sees any trace of the attempt.
+func TestShardedSweepRejectsAmbiguousLocation(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "unexpected request", http.StatusTeapot)
+	}))
+	defer srv.Close()
+	dir := filepath.Join(t.TempDir(), "store")
+	grid, err := tifs.ExperimentGrid([]string{"fig13"}, tifs.ExperimentOptions{
+		Scale: tifs.ScaleSmall, Events: 3_000, Workloads: []string{"OLTP-DB2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, loc := range map[string]tifs.StoreLocation{
+		"both":    {Dir: dir, URL: srv.URL},
+		"neither": {},
+	} {
+		if _, err := tifs.ShardedSweep(ctx, loc, 0, 2, grid, 1); err == nil {
+			t.Errorf("%s: ShardedSweep accepted %+v", name, loc)
+		}
+		if reps, err := tifs.ShardedSweepAuto(ctx, loc, 2, grid, 1); err == nil || len(reps) != 0 {
+			t.Errorf("%s: ShardedSweepAuto accepted %+v (%d reports)", name, loc, len(reps))
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a rejected location opened the store directory (stat: %v)", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("a rejected location sent %d requests to the server", n)
+	}
+}
+
 func TestExperimentSingleWorkload(t *testing.T) {
-	out, err := tifs.RunExperiment("fig6", tifs.ExperimentOptions{
+	out, err := tifs.RunExperiments([]string{"fig6"}, tifs.ExperimentOptions{
 		Scale:     tifs.ScaleSmall,
 		Events:    80_000,
 		Cores:     1,

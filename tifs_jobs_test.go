@@ -55,7 +55,7 @@ func TestJobServiceEndToEnd(t *testing.T) {
 	// Ground truth: storeless serial local run.
 	want, err := tifs.RunExperiments(req.Experiments, tifs.ExperimentOptions{
 		Scale: tifs.ScaleSmall, Events: req.Events, Workloads: req.Workloads,
-		Parallelism: 1, Engine: tifs.NewSimEngine(1, nil),
+		Engine: tifs.NewSimEngine(1, nil),
 	})
 	if err != nil {
 		t.Fatalf("local run: %v", err)
@@ -159,7 +159,9 @@ func TestJobSimulationMatchesLocalReport(t *testing.T) {
 		{Spec: spec, Scale: tifs.ScaleSmall, Config: cfg},
 		{Spec: spec, Scale: tifs.ScaleSmall, Config: tifs.SimConfig{Cores: 4, EventsPerCore: 3_000, Mechanism: tifs.NextLineOnly()}},
 	}
-	results := tifs.SimulateAll(jobs, 2)
+	e := tifs.NewSimEngine(2, nil)
+	defer e.Close()
+	results := e.RunAll(context.Background(), jobs)
 	want := tifs.SimReport(results[0], &results[1], tifs.ScaleSmall, 4)
 
 	_, ts := startJobServer(t, t.TempDir())

@@ -82,11 +82,11 @@ func TestRemoteShardedSweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep0, err := tifs.RemoteShardedSweep(ctx, srv.URL, &http.Client{Transport: rt}, 0, 2, grid, o)
+	rep0, err := tifs.ShardedSweep(ctx, tifs.StoreLocation{URL: srv.URL, HTTPClient: &http.Client{Transport: rt}}, 0, 2, grid, 0)
 	if err != nil {
 		t.Fatalf("worker 0 under faults: %v", err)
 	}
-	rep1, err := tifs.RemoteShardedSweep(ctx, srv.URL, nil, 1, 2, grid, o)
+	rep1, err := tifs.ShardedSweep(ctx, tifs.StoreLocation{URL: srv.URL}, 1, 2, grid, 0)
 	if err != nil {
 		t.Fatalf("worker 1: %v", err)
 	}
@@ -94,21 +94,21 @@ func TestRemoteShardedSweepByteIdentical(t *testing.T) {
 		t.Errorf("shards covered %d of %d grid points", got, want)
 	}
 
-	rs := tifs.DialRemoteStore(srv.URL, nil)
+	rs := tifs.DialRemoteStore(ctx, srv.URL, nil)
 	defer rs.Close()
 	if jobs, traces := tifs.MissingFromStore(rs, grid); len(jobs)+len(traces) != 0 {
 		t.Fatalf("remote store missing %d jobs, %d traces after both shards ran", len(jobs), len(traces))
 	}
-	e := tifs.NewSimEngineBackend(0, rs)
+	e := tifs.NewSimEngine(0, rs)
 	o.Engine = e
-	merged, err := tifs.RunExperiment("fig13", o)
+	merged, err := tifs.RunExperiments([]string{"fig13"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := e.SimulationsRun(); n != 0 {
 		t.Errorf("remote merge re-simulated %d grid points", n)
 	}
-	direct, err := tifs.RunExperiment("fig13", remoteOpts())
+	direct, err := tifs.RunExperiments([]string{"fig13"}, remoteOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	defer st.Close()
 	srv := newFlakyServer(t, st, dir)
 
-	rs := tifs.DialRemoteStore(srv.URL, nil)
+	rs := tifs.DialRemoteStore(context.Background(), srv.URL, nil)
 	defer rs.Close()
 	// One instant attempt per op and a held-open breaker keep the
 	// outage phase deterministic and fast.
@@ -143,12 +143,12 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	srv.dead.Store(true)
 
 	o := remoteOpts()
-	o.Backend = rs
-	out, err := tifs.RunExperiment("fig13", o)
+	o.Engine = tifs.NewSimEngine(0, rs)
+	out, err := tifs.RunExperiments([]string{"fig13"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := tifs.RunExperiment("fig13", remoteOpts())
+	direct, err := tifs.RunExperiments([]string{"fig13"}, remoteOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	// A fresh, untuned client must now see every grid point and merge
 	// the identical bytes from store hits alone — the reconciled
 	// write-backs are the right bytes, not just present.
-	clean := tifs.DialRemoteStore(srv.URL, nil)
+	clean := tifs.DialRemoteStore(context.Background(), srv.URL, nil)
 	defer clean.Close()
 	grid, err := tifs.ExperimentGrid([]string{"fig13"}, remoteOpts())
 	if err != nil {
@@ -186,10 +186,10 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	if jobs, traces := tifs.MissingFromStore(clean, grid); len(jobs)+len(traces) != 0 {
 		t.Fatalf("store missing %d jobs, %d traces after reconcile", len(jobs), len(traces))
 	}
-	e := tifs.NewSimEngineBackend(0, clean)
+	e := tifs.NewSimEngine(0, clean)
 	o2 := remoteOpts()
 	o2.Engine = e
-	merged, err := tifs.RunExperiment("fig13", o2)
+	merged, err := tifs.RunExperiments([]string{"fig13"}, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
