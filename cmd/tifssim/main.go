@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"tifs"
@@ -54,7 +55,7 @@ func run() int {
 	var (
 		name      = flag.String("workload", "OLTP-DB2", "workload name")
 		scaleName = flag.String("scale", "small", "small|medium|full")
-		mechName  = flag.String("mechanism", "tifs-dedicated", "next-line|fdip|discontinuity|tifs-unbounded|tifs-dedicated|tifs-virtualized|perfect")
+		mechName  = flag.String("mechanism", "tifs-dedicated", strings.Join(tifs.MechanismNames(), "|"))
 		events    = flag.Uint64("events", 0, "per-core events (0 = scale default)")
 		cores     = flag.Int("cores", 4, "number of cores")
 		baseline  = flag.Bool("baseline", true, "also run the next-line baseline and report speedup")
@@ -105,17 +106,19 @@ func run() int {
 		return runSubmit(ctx, *submit, *name, *mechName, *scaleName, *baseline, *events, *cores)
 	}
 
-	// Run the mechanism and (when requested) its next-line baseline as one
-	// batch so they execute concurrently on multi-core hosts. With
-	// -cache-dir (or -remote), previously simulated configurations load
-	// from the persistent store instead of re-running.
+	// With -cache-dir (or -remote), previously simulated configurations
+	// load from the persistent store instead of re-running.
 	var st tifs.StoreBackend
 	switch {
 	case *remote != "":
 		rs := tifs.DialRemoteStore(ctx, *remote, nil)
 		defer func() {
 			fmt.Fprintln(os.Stderr, rs.Stats())
-			rs.Close()
+			if err := rs.Close(); err != nil {
+				// Undelivered write-backs are a warning: the report printed
+				// is correct, and a later run recomputes what never arrived.
+				fmt.Fprintln(os.Stderr, "tifssim:", err)
+			}
 		}()
 		st = rs
 	case *cacheDir != "":
@@ -130,29 +133,18 @@ func run() int {
 		}()
 		st = local
 	}
-	jobs := []tifs.SimJob{{Spec: spec, Scale: scale, Config: tifs.SimConfig{
-		Cores: *cores, EventsPerCore: *events, Mechanism: mech,
-	}}}
-	wantBaseline := *baseline && mech.Kind != "none"
-	if wantBaseline {
-		jobs = append(jobs, tifs.SimJob{Spec: spec, Scale: scale, Config: tifs.SimConfig{
-			Cores: *cores, EventsPerCore: *events, Mechanism: tifs.NextLineOnly(),
-		}})
-	}
+	// The sweep service renders -submit jobs through the same RunReport,
+	// so local and -submit output are byte-identical by construction.
 	eng := tifs.NewSimEngine(0, st)
 	defer eng.Close()
-	results := eng.RunAll(ctx, jobs)
+	report := eng.RunReport(ctx, tifs.SimJob{Spec: spec, Scale: scale, Config: tifs.SimConfig{
+		Cores: *cores, EventsPerCore: *events, Mechanism: mech,
+	}}, *baseline)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "tifssim: interrupted — no report (partial results, if any, were saved to the cache)")
 		return exitInterrupted
 	}
-	// Render through the shared report so local and -submit output are
-	// byte-identical by construction.
-	var base *tifs.SimResult
-	if wantBaseline {
-		base = &results[1]
-	}
-	fmt.Print(tifs.SimReport(results[0], base, scale, *cores))
+	fmt.Print(report)
 	return 0
 }
 

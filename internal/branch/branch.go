@@ -42,11 +42,9 @@ func NewBimodal(entries int) *Bimodal {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("branch: entries must be a positive power of two")
 	}
-	t := make([]counter, entries)
-	for i := range t {
-		t[i] = 2
-	}
-	return &Bimodal{table: t, mask: uint64(entries - 1)}
+	b := &Bimodal{table: make([]counter, entries), mask: uint64(entries - 1)}
+	b.Reset()
+	return b
 }
 
 // Reset restores every counter to the weakly-taken initial state.
@@ -90,15 +88,13 @@ func NewGShare(entries int) *GShare {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("branch: entries must be a positive power of two")
 	}
-	t := make([]counter, entries)
-	for i := range t {
-		t[i] = 2
-	}
 	bits := uint(0)
 	for 1<<bits < entries {
 		bits++
 	}
-	return &GShare{table: t, mask: uint64(entries - 1), bits: bits}
+	g := &GShare{table: make([]counter, entries), mask: uint64(entries - 1), bits: bits}
+	g.Reset()
+	return g
 }
 
 // Reset restores the counters to weakly taken and clears the history.
@@ -152,9 +148,7 @@ func NewHybrid(entries int) *Hybrid {
 		chooser: make([]counter, entries),
 		mask:    uint64(entries - 1),
 	}
-	for i := range h.chooser {
-		h.chooser[i] = 2
-	}
+	h.Reset()
 	return h
 }
 

@@ -45,9 +45,6 @@ type Engine struct {
 
 var _ prefetch.Prefetcher = (*Engine)(nil)
 
-// Name implements prefetch.Prefetcher.
-func (e *Engine) Name() string { return e.t.cfg.Name() }
-
 // OnWindow implements prefetch.Prefetcher. TIFS does not explore control
 // flow — that independence from the branch predictor is its point.
 func (e *Engine) OnWindow([]isa.BlockEvent, uint64) {}
@@ -131,9 +128,6 @@ func (e *Engine) OnEvent(isa.BlockEvent, uint64) {}
 
 // Stats implements prefetch.Prefetcher.
 func (e *Engine) Stats() prefetch.Stats { return e.stats }
-
-// TIFSStats returns this core's TIFS-specific counters.
-func (e *Engine) TIFSStats() TIFSStats { return e.tstats }
 
 // allocStream returns a free stream slot, recycling the least recently
 // used one if all are live (its unconsumed SVB entries will age out as

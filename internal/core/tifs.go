@@ -199,7 +199,7 @@ func (l *iml) at(idx uint64) logEntry {
 type TIFS struct {
 	cfg   Config
 	mem   prefetch.Memory
-	rng   *xrand.Rand
+	rng   xrand.Rand
 	index flathash.Map // block -> packed imlPos (the shared Index Table)
 	cores []*Engine
 }
@@ -218,10 +218,6 @@ func (c Config) indexSizeHint(cores int) int {
 // New creates a TIFS instance for the given number of cores. mem carries
 // prefetch and (for virtualized IMLs) metadata traffic.
 func New(cfg Config, cores int, mem prefetch.Memory) *TIFS {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	if cores < 1 {
 		panic("core: need at least one core")
 	}
@@ -230,29 +226,18 @@ func New(cfg Config, cores int, mem prefetch.Memory) *TIFS {
 		// index table would alias cores.
 		panic("core: at most 65536 cores supported")
 	}
-	t := &TIFS{
-		cfg: cfg,
-		mem: mem,
-		rng: xrand.NewFromString("tifs/" + cfg.Seed),
+	t := &TIFS{cores: make([]*Engine, cores)}
+	for i := range t.cores {
+		t.cores[i] = &Engine{t: t, id: i}
 	}
-	t.index.Grow(cfg.indexSizeHint(cores))
-	for i := 0; i < cores; i++ {
-		e := &Engine{
-			t:    t,
-			id:   i,
-			log:  iml{capacity: cfg.IMLEntries},
-			svb:  make([]svbEntry, 0, cfg.SVBBlocks),
-			strs: make([]stream, cfg.MaxStreams),
-		}
-		t.cores = append(t.cores, e)
-	}
+	t.Reset(cfg, mem)
 	return t
 }
 
 // Reset restores the instance to the state New(cfg, cores, mem) would
 // produce for the same core count, retaining the index table's and the
 // per-core logs' capacity so pooled simulation runs stop allocating once
-// they reach steady-state size.
+// they reach steady-state size. It panics on an invalid configuration.
 func (t *TIFS) Reset(cfg Config, mem prefetch.Memory) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -279,9 +264,6 @@ func (t *TIFS) Reset(cfg Config, mem prefetch.Memory) {
 		e.tstats = TIFSStats{}
 	}
 }
-
-// Config returns the instance configuration (defaults applied).
-func (t *TIFS) Config() Config { return t.cfg }
 
 // Core returns the per-core engine, which implements
 // prefetch.Prefetcher.
@@ -310,13 +292,4 @@ func (t *TIFS) TIFSStats() TIFSStats {
 		s.LoggedHits += e.tstats.LoggedHits
 	}
 	return s
-}
-
-// StorageBitsPerCore returns the dedicated predictor storage in bits per
-// core (the Section 6.3 accounting; 0 for unbounded or virtualized IMLs).
-func (t *TIFS) StorageBitsPerCore() int {
-	if t.cfg.IMLEntries == 0 || t.cfg.Virtualized {
-		return 0
-	}
-	return t.cfg.IMLEntries * 39
 }

@@ -79,23 +79,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestStorageAccounting(t *testing.T) {
-	mem := &fakeMem{latency: 20}
-	dedicated := New(DedicatedConfig(), 4, mem)
-	// 8K entries x 39 bits = 312 Kbit = 39 KB per core; 156 KB aggregate
-	// (the paper's Section 6.3 numbers).
-	bits := dedicated.StorageBitsPerCore()
-	if bits != 8192*39 {
-		t.Errorf("StorageBitsPerCore = %d", bits)
-	}
-	if New(UnboundedConfig(), 1, mem).StorageBitsPerCore() != 0 {
-		t.Error("unbounded should report no dedicated storage")
-	}
-	if New(VirtualizedConfig(), 1, mem).StorageBitsPerCore() != 0 {
-		t.Error("virtualized should report no dedicated storage")
-	}
-}
-
 func TestStreamReplayCoversRepeat(t *testing.T) {
 	mem := &fakeMem{latency: 20}
 	tifs := New(UnboundedConfig(), 1, mem)

@@ -283,27 +283,13 @@ type Core struct {
 	dataAcc float64 // fractional synthetic data-traffic blocks
 
 	cycle uint64
-	done  bool
 	stats Stats
 }
 
 // New creates a core. The prefetcher may be nil (next-line only).
 func New(id int, cfg Config, src isa.EventSource, pf prefetch.Prefetcher, un *uncore.L2) *Core {
-	cfg = cfg.withDefaults()
-	if pf == nil {
-		pf = prefetch.None{}
-	}
-	c := &Core{
-		ID:      id,
-		cfg:     cfg,
-		l1:      cache.New(cfg.L1I),
-		pred:    branch.NewHybrid(cfg.PredictorEntries),
-		un:      un,
-		window:  make([]isa.BlockEvent, 0, 2*cfg.WindowEvents),
-		execCPI: 1.0/float64(cfg.Width) + cfg.BackendCPI,
-	}
-	c.nlMemo = c.l1.NumSets() > cfg.NextLineDepth
-	c.bindSource(src, cfg.EventBudget)
+	c := &Core{ID: id, un: un}
+	c.Reset(cfg, src)
 	c.SetPrefetcher(pf)
 	return c
 }
@@ -328,12 +314,12 @@ func (c *Core) bindSource(src isa.EventSource, budget uint64) {
 // prefetcher afterwards via SetPrefetcher, as after New.
 func (c *Core) Reset(cfg Config, src isa.EventSource) {
 	cfg = cfg.withDefaults()
-	if c.l1.Config() == cfg.L1I {
+	if c.l1 != nil && c.l1.Config() == cfg.L1I {
 		c.l1.Reset()
 	} else {
 		c.l1 = cache.New(cfg.L1I)
 	}
-	if c.pred.Entries() == cfg.PredictorEntries {
+	if c.pred != nil && c.pred.Entries() == cfg.PredictorEntries {
 		c.pred.Reset()
 	} else {
 		c.pred = branch.NewHybrid(cfg.PredictorEntries)
@@ -353,7 +339,6 @@ func (c *Core) Reset(cfg Config, src isa.EventSource) {
 	c.execCPI = 1.0/float64(cfg.Width) + cfg.BackendCPI
 	c.dataAcc = 0
 	c.cycle = 0
-	c.done = false
 	c.stats = Stats{}
 	c.SetPrefetcher(nil)
 }
@@ -363,9 +348,6 @@ func (c *Core) ContainsBlock(b isa.Block) bool { return c.l1.Contains(b) }
 
 // Cycle returns the core-local clock.
 func (c *Core) Cycle() uint64 { return c.cycle }
-
-// Done reports whether the event source is exhausted.
-func (c *Core) Done() bool { return c.done }
 
 // Events returns how many events the core has executed.
 func (c *Core) Events() uint64 { return c.stats.Events }
@@ -467,7 +449,6 @@ func (c *Core) stall(ready uint64, serializing bool, attr *uint64) {
 func (c *Core) Step() bool {
 	c.fillWindow()
 	if c.head >= len(c.window) {
-		c.done = true
 		return false
 	}
 	ev := &c.window[c.head]

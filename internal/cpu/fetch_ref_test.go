@@ -29,7 +29,6 @@ func refNLIssue(c *Core, b isa.Block, now uint64) {
 func refStep(c *Core) bool {
 	c.fillWindow()
 	if c.head >= len(c.window) {
-		c.done = true
 		return false
 	}
 	ev := &c.window[c.head]

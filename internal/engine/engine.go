@@ -277,6 +277,29 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) []sim.Result {
 	return out
 }
 
+// RunReport simulates one point and renders sim.Report, the report
+// tifssim prints and the sweep service returns for a simulation job.
+// With baseline set, the same point on the next-line baseline runs in
+// the same batch and adds the speedup line; a job already on the
+// baseline runs alone. Once ctx is cancelled it returns "", and callers
+// check ctx.Err() to tell that from a report.
+func (e *Engine) RunReport(ctx context.Context, job Job, baseline bool) string {
+	jobs := []Job{job}
+	if baseline && job.Config.Mechanism.Kind != sim.KindNone {
+		jobs = append(jobs, job)
+		jobs[1].Config.Mechanism = sim.Baseline()
+	}
+	results := e.RunAll(ctx, jobs)
+	if ctx.Err() != nil {
+		return ""
+	}
+	var base *sim.Result
+	if len(results) == 2 {
+		base = &results[1]
+	}
+	return sim.Report(results[0], base, job.Scale, job.Config.Cores)
+}
+
 // start launches (or joins) the simulation for job and returns its entry.
 func (e *Engine) start(ctx context.Context, job Job) *simEntry {
 	key := job.Key()

@@ -79,6 +79,36 @@ func TestDuplicateJobsSimulateOnce(t *testing.T) {
 	}
 }
 
+// TestRunReport: with baseline set, a point's report renders both
+// results, speedup line included, from one simulation each; a point
+// already on the baseline runs alone; a cancelled context renders
+// nothing.
+func TestRunReport(t *testing.T) {
+	ctx := context.Background()
+	oltp := spec(t, "OLTP-DB2")
+	fdip, base := job(oltp, sim.FDIP()), job(oltp, sim.Baseline())
+	e := New(2)
+	got := e.RunReport(ctx, fdip, true)
+	res := e.RunAll(ctx, []Job{fdip, base})
+	if want := sim.Report(res[0], &res[1], workload.ScaleSmall, 0); got != want {
+		t.Errorf("report with baseline:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := e.RunReport(ctx, fdip, false), sim.Report(res[0], nil, workload.ScaleSmall, 0); got != want {
+		t.Errorf("report without baseline:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := e.RunReport(ctx, base, true), sim.Report(res[1], nil, workload.ScaleSmall, 0); got != want {
+		t.Errorf("baseline point's report:\n%s\nwant\n%s", got, want)
+	}
+	if n := e.SimulationsRun(); n != 2 {
+		t.Errorf("ran %d simulations, want 2 (the point and its baseline)", n)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if got := e.RunReport(cancelled, job(oltp, sim.Perfect()), true); got != "" {
+		t.Errorf("cancelled RunReport rendered %q", got)
+	}
+}
+
 func TestCachedResultsDoNotAlias(t *testing.T) {
 	e := New(2)
 	j := job(spec(t, "DSS-Qry2"), sim.TIFS(core.VirtualizedConfig()))

@@ -42,31 +42,20 @@ type discEntry struct {
 //
 // It is included as an extra baseline beyond the paper's comparison set.
 type Discontinuity struct {
-	cfg  DiscontinuityConfig
-	mem  Memory
-	l1   L1View
-	core int
+	buffer // the prefetch buffer; it also serves Probe and Stats
+	cfg    DiscontinuityConfig
 
-	table  []discEntry
-	buffer []fdipEntry
+	table []discEntry
 
 	prevBlock isa.Block
 	havePrev  bool
-
-	stats Stats
 }
 
 // NewDiscontinuity creates a discontinuity prefetcher for one core.
 func NewDiscontinuity(cfg DiscontinuityConfig, core int, mem Memory, l1 L1View) *Discontinuity {
-	cfg = cfg.withDefaults()
-	return &Discontinuity{
-		cfg:    cfg,
-		mem:    mem,
-		l1:     l1,
-		core:   core,
-		table:  make([]discEntry, cfg.TableEntries),
-		buffer: make([]fdipEntry, 0, cfg.BufferBlocks),
-	}
+	d := &Discontinuity{buffer: buffer{mem: mem, l1: l1, core: core}}
+	d.Reset(cfg)
+	return d
 }
 
 // Reset restores the engine to the state NewDiscontinuity would produce
@@ -78,19 +67,11 @@ func (d *Discontinuity) Reset(cfg DiscontinuityConfig) {
 	} else {
 		d.table = make([]discEntry, cfg.TableEntries)
 	}
-	if cap(d.buffer) < cfg.BufferBlocks {
-		d.buffer = make([]fdipEntry, 0, cfg.BufferBlocks)
-	} else {
-		d.buffer = d.buffer[:0]
-	}
+	d.buffer.reset(cfg.BufferBlocks)
 	d.cfg = cfg
 	d.prevBlock = 0
 	d.havePrev = false
-	d.stats = Stats{}
 }
-
-// Name implements Prefetcher.
-func (d *Discontinuity) Name() string { return "discontinuity" }
 
 // OnWindow implements Prefetcher.
 func (d *Discontinuity) OnWindow([]isa.BlockEvent, uint64) {}
@@ -119,51 +100,5 @@ func (d *Discontinuity) OnFetchBlock(b isa.Block, outcome FetchOutcome, now uint
 	}
 }
 
-func (d *Discontinuity) prefetchBlock(b isa.Block, now uint64) {
-	if d.l1 != nil && d.l1.ContainsBlock(b) {
-		return
-	}
-	for i := range d.buffer {
-		if d.buffer[i].block == b {
-			return
-		}
-	}
-	ready := d.mem.Prefetch(d.core, b, now)
-	d.stats.Issued++
-	e := fdipEntry{block: b, ready: ready, lastUse: now}
-	if len(d.buffer) < d.cfg.BufferBlocks {
-		d.buffer = append(d.buffer, e)
-		return
-	}
-	victim := 0
-	for i := 1; i < len(d.buffer); i++ {
-		if d.buffer[i].lastUse < d.buffer[victim].lastUse {
-			victim = i
-		}
-	}
-	d.stats.Discards++
-	d.buffer[victim] = e
-}
-
 // OnEvent implements Prefetcher.
 func (d *Discontinuity) OnEvent(isa.BlockEvent, uint64) {}
-
-// Probe implements Prefetcher.
-func (d *Discontinuity) Probe(b isa.Block, now uint64) (uint64, bool) {
-	for i := range d.buffer {
-		if d.buffer[i].block == b {
-			ready := d.buffer[i].ready
-			d.buffer = append(d.buffer[:i], d.buffer[i+1:]...)
-			if ready <= now {
-				d.stats.HitsTimely++
-			} else {
-				d.stats.HitsLate++
-			}
-			return ready, true
-		}
-	}
-	return 0, false
-}
-
-// Stats implements Prefetcher.
-func (d *Discontinuity) Stats() Stats { return d.stats }

@@ -54,15 +54,6 @@ func (c FDIPConfig) withDefaults() FDIPConfig {
 	return c
 }
 
-// fdipEntry is one prefetched block awaiting its fetch. Probe removes
-// an entry when the fetch uses it, so every entry evicted from a full
-// buffer is a discard.
-type fdipEntry struct {
-	block   isa.Block
-	ready   uint64
-	lastUse uint64
-}
-
 // FDIP models fetch-directed instruction prefetching (Reinman, Calder,
 // Austin): the branch predictor explores the control flow ahead of the
 // fetch unit and prefetches the instruction blocks on the predicted path.
@@ -70,35 +61,24 @@ type fdipEntry struct {
 // unpredictable indirect-call target, or trap — the lookahead limits TIFS
 // is designed to escape (Sections 3 and 6.2).
 type FDIP struct {
-	cfg  FDIPConfig
-	mem  Memory
-	l1   L1View
-	core int
+	buffer // the prefetch buffer; it also serves Probe and Stats
+	cfg    FDIPConfig
 
 	pred       *branch.Hybrid
 	lastTarget flathash.Map // indirect call site -> last target
 
-	buffer   []fdipEntry
 	explored int // leading window events already explored
 	blocked  int // events until a mispredicted branch resolves (0 = free)
 	// trained is set when a retiring branch or call trains the predictor
 	// and cleared once a walk has re-predicted the whole explored prefix.
 	trained bool
-
-	stats Stats
 }
 
 // NewFDIP creates an FDIP engine for one core.
 func NewFDIP(cfg FDIPConfig, core int, mem Memory, l1 L1View) *FDIP {
-	cfg = cfg.withDefaults()
-	return &FDIP{
-		cfg:    cfg,
-		mem:    mem,
-		l1:     l1,
-		core:   core,
-		pred:   branch.NewHybrid(cfg.PredictorEntries),
-		buffer: make([]fdipEntry, 0, cfg.BufferBlocks),
-	}
+	f := &FDIP{buffer: buffer{mem: mem, l1: l1, core: core}}
+	f.Reset(cfg)
+	return f
 }
 
 // Reset restores the engine to the state NewFDIP would produce for the
@@ -106,26 +86,18 @@ func NewFDIP(cfg FDIPConfig, core int, mem Memory, l1 L1View) *FDIP {
 // runs do not reallocate them.
 func (f *FDIP) Reset(cfg FDIPConfig) {
 	cfg = cfg.withDefaults()
-	if f.pred.Entries() == cfg.PredictorEntries {
+	if f.pred != nil && f.pred.Entries() == cfg.PredictorEntries {
 		f.pred.Reset()
 	} else {
 		f.pred = branch.NewHybrid(cfg.PredictorEntries)
 	}
 	f.lastTarget.Reset()
-	if cap(f.buffer) < cfg.BufferBlocks {
-		f.buffer = make([]fdipEntry, 0, cfg.BufferBlocks)
-	} else {
-		f.buffer = f.buffer[:0]
-	}
+	f.buffer.reset(cfg.BufferBlocks)
 	f.cfg = cfg
 	f.explored = 0
 	f.blocked = 0
 	f.trained = false
-	f.stats = Stats{}
 }
-
-// Name implements Prefetcher.
-func (f *FDIP) Name() string { return "FDIP" }
 
 // predictable reports whether FDIP correctly anticipates the transfer at
 // the end of ev, consuming branch budget via the returned flag.
@@ -240,35 +212,6 @@ func (f *FDIP) wrongPath(ev isa.BlockEvent, now uint64) {
 	}
 }
 
-// prefetchBlock issues a prefetch unless the block is already in L1 or
-// the buffer.
-func (f *FDIP) prefetchBlock(b isa.Block, now uint64) {
-	if f.l1 != nil && f.l1.ContainsBlock(b) {
-		return
-	}
-	for i := range f.buffer {
-		if f.buffer[i].block == b {
-			return
-		}
-	}
-	ready := f.mem.Prefetch(f.core, b, now)
-	f.stats.Issued++
-	e := fdipEntry{block: b, ready: ready, lastUse: now}
-	if len(f.buffer) < f.cfg.BufferBlocks {
-		f.buffer = append(f.buffer, e)
-		return
-	}
-	// Evict LRU.
-	victim := 0
-	for i := 1; i < len(f.buffer); i++ {
-		if f.buffer[i].lastUse < f.buffer[victim].lastUse {
-			victim = i
-		}
-	}
-	f.stats.Discards++
-	f.buffer[victim] = e
-}
-
 // OnFetchBlock implements Prefetcher.
 func (f *FDIP) OnFetchBlock(isa.Block, FetchOutcome, uint64) {}
 
@@ -283,23 +226,3 @@ func (f *FDIP) OnEvent(ev isa.BlockEvent, now uint64) {
 		f.trained = true
 	}
 }
-
-// Probe implements Prefetcher.
-func (f *FDIP) Probe(b isa.Block, now uint64) (uint64, bool) {
-	for i := range f.buffer {
-		if f.buffer[i].block == b {
-			ready := f.buffer[i].ready
-			f.buffer = append(f.buffer[:i], f.buffer[i+1:]...)
-			if ready <= now {
-				f.stats.HitsTimely++
-			} else {
-				f.stats.HitsLate++
-			}
-			return ready, true
-		}
-	}
-	return 0, false
-}
-
-// Stats implements Prefetcher.
-func (f *FDIP) Stats() Stats { return f.stats }

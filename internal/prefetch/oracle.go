@@ -15,16 +15,15 @@ import (
 type Probabilistic struct {
 	coverage float64
 	seen     flathash.Map
-	rng      *xrand.Rand
+	rng      xrand.Rand
 	stats    Stats
 }
 
 // NewProbabilistic creates the Fig. 1 model with coverage in [0,1].
 func NewProbabilistic(coverage float64, seed string) *Probabilistic {
-	return &Probabilistic{
-		coverage: coverage,
-		rng:      xrand.NewFromString("probabilistic/" + seed),
-	}
+	p := &Probabilistic{}
+	p.Reset(coverage, seed)
+	return p
 }
 
 // Reset restores the state NewProbabilistic(coverage, seed) would
@@ -35,9 +34,6 @@ func (p *Probabilistic) Reset(coverage float64, seed string) {
 	p.rng.SeedFromString("probabilistic/" + seed)
 	p.stats = Stats{}
 }
-
-// Name implements Prefetcher.
-func (p *Probabilistic) Name() string { return "probabilistic" }
 
 // OnWindow implements Prefetcher.
 func (p *Probabilistic) OnWindow([]isa.BlockEvent, uint64) {}

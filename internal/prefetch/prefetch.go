@@ -1,11 +1,14 @@
 // Package prefetch defines the instruction-prefetcher contract used by
 // the timing simulator and implements the paper's comparison points: a
 // null prefetcher (the next-line-only baseline; next-line itself lives in
-// the fetch unit), the probabilistic prefetcher of the Fig. 1 opportunity
-// study, the perfect streamer upper bound, the discontinuity predictor
-// (Spracklen et al., related work), and FDIP, the state-of-the-art
-// fetch-directed instruction prefetcher (Reinman et al.) that TIFS is
-// compared against in Fig. 13.
+// the fetch unit), Probabilistic, the Fig. 1 opportunity-study
+// prefetcher, which at coverage 1 is Fig. 13's perfect streamer upper
+// bound, the discontinuity predictor (Spracklen et al., related work),
+// and FDIP, the state-of-the-art fetch-directed instruction prefetcher
+// (Reinman et al.) that TIFS is compared against in Fig. 13. FDIP and
+// the discontinuity predictor share one fully-associative prefetch
+// buffer type (buffer.go), which also answers their Probe and Stats
+// calls.
 //
 // TIFS itself lives in internal/core (it is the paper's contribution);
 // it implements the same Prefetcher interface.
@@ -107,8 +110,6 @@ func (o FetchOutcome) String() string {
 // perform training internally; the subsequent OnFetchBlock carries
 // FetchPrefetchHit for information only.
 type Prefetcher interface {
-	// Name identifies the configuration in experiment output.
-	Name() string
 	// OnWindow exposes the upcoming event window for run-ahead
 	// exploration. window[0] is the next event to execute; each call's
 	// window starts one event after the previous call's.
@@ -128,9 +129,6 @@ type Prefetcher interface {
 // None is the null prefetcher: the system then relies solely on the fetch
 // unit's next-line prefetcher, the paper's baseline.
 type None struct{}
-
-// Name implements Prefetcher.
-func (None) Name() string { return "next-line" }
 
 // OnWindow implements Prefetcher.
 func (None) OnWindow([]isa.BlockEvent, uint64) {}

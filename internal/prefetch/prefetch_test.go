@@ -44,9 +44,6 @@ func seqWindow(pc isa.Addr, n int) []isa.BlockEvent {
 
 func TestNonePrefetcher(t *testing.T) {
 	var p None
-	if p.Name() != "next-line" {
-		t.Errorf("Name = %q", p.Name())
-	}
 	if _, ok := p.Probe(1, 0); ok {
 		t.Error("None must never hit")
 	}

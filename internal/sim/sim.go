@@ -10,6 +10,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -73,33 +74,104 @@ func Probabilistic(coverage float64) Mechanism {
 // Discontinuity returns the discontinuity-predictor mechanism.
 func Discontinuity() Mechanism { return Mechanism{Kind: KindDiscontinuity} }
 
-// Name labels the mechanism in experiment output.
+// Name labels the mechanism in experiment output: its kind's label, or
+// the kind itself for a kind the table lacks.
 func (m Mechanism) Name() string {
-	switch m.Kind {
-	case KindNone:
-		return "next-line"
-	case KindFDIP:
-		return "FDIP"
-	case KindDiscontinuity:
-		return "discontinuity"
-	case KindTIFS:
-		return m.TIFS.Name()
-	case KindPerfect:
-		return "perfect"
-	case KindProb:
+	if k, ok := kinds[m.Kind]; ok {
+		return k.name(m)
+	}
+	return m.Kind
+}
+
+// kind is one mechanism kind's entry in the kinds table: how results
+// label it and how a Runner equips each core with its prefetcher.
+type kind struct {
+	// name labels a mechanism of this kind in results.
+	name func(Mechanism) string
+	// attach returns core i's prefetcher for m. prev is the prefetcher
+	// this Runner built for the kind's pool on core i in an earlier run,
+	// or nil; attach resets and returns it, or builds a new one. It runs
+	// after core i is built or reset, in core order.
+	attach func(r *Runner, m Mechanism, i int, prev prefetch.Prefetcher) prefetch.Prefetcher
+	// pool names the kind whose pooled prefetchers this kind reuses;
+	// empty means its own.
+	pool string
+}
+
+// kinds is the mechanism table, keyed by Mechanism.Kind. Kind "" runs
+// as KindNone but keeps the label "".
+var kinds = map[string]kind{
+	KindNone: {
+		name: label("next-line"),
+		attach: func(*Runner, Mechanism, int, prefetch.Prefetcher) prefetch.Prefetcher {
+			return prefetch.None{}
+		},
+	},
+	KindFDIP: {
+		name: label("FDIP"),
+		attach: func(r *Runner, _ Mechanism, i int, prev prefetch.Prefetcher) prefetch.Prefetcher {
+			if f, ok := prev.(*prefetch.FDIP); ok {
+				f.Reset(prefetch.FDIPConfig{})
+				return f
+			}
+			return prefetch.NewFDIP(prefetch.FDIPConfig{}, i, r.un, r.cores[i])
+		},
+	},
+	KindDiscontinuity: {
+		name: label("discontinuity"),
+		attach: func(r *Runner, _ Mechanism, i int, prev prefetch.Prefetcher) prefetch.Prefetcher {
+			if d, ok := prev.(*prefetch.Discontinuity); ok {
+				d.Reset(prefetch.DiscontinuityConfig{})
+				return d
+			}
+			return prefetch.NewDiscontinuity(prefetch.DiscontinuityConfig{}, i, r.un, r.cores[i])
+		},
+	},
+	KindTIFS: {
+		name: func(m Mechanism) string { return m.TIFS.Name() },
+		// One chip-wide instance: core 0 builds or resets it, and every
+		// core attaches its per-core engine.
+		attach: func(r *Runner, m Mechanism, i int, _ prefetch.Prefetcher) prefetch.Prefetcher {
+			if i == 0 {
+				cfg := m.TIFS
+				cfg.Seed = r.ge.tifsSeed
+				if r.tifs == nil {
+					r.tifs = core.New(cfg, len(r.cores), r.un)
+				} else {
+					r.tifs.Reset(cfg, r.un)
+				}
+			}
+			return r.tifs.Core(i)
+		},
+	},
+	KindPerfect: {
+		name: label("perfect"),
+		// At coverage 1 the generator is never drawn from.
+		attach: func(r *Runner, _ Mechanism, i int, prev prefetch.Prefetcher) prefetch.Prefetcher {
+			return r.probabilistic(1, i, prev)
+		},
+		pool: KindProb,
+	},
+	KindProb: {
 		// A whole-percent table keeps Runner.Run, which labels every
 		// result, allocation-free. %.0f rounds half to even like
-		// math.RoundToEven, and prints a sign for negative values,
-		// -0 included, which the table lacks.
-		pct := 100 * m.Coverage
-		if pct >= 0 && pct <= 100 && !math.Signbit(pct) {
-			return probNames[int(math.RoundToEven(pct))]
-		}
-		return fmt.Sprintf("prob-%.0f%%", pct)
-	default:
-		return m.Kind
-	}
+		// math.RoundToEven, and prints a sign for negative values, -0
+		// included, which the table lacks.
+		name: func(m Mechanism) string {
+			pct := 100 * m.Coverage
+			if pct >= 0 && pct <= 100 && !math.Signbit(pct) {
+				return probNames[int(math.RoundToEven(pct))]
+			}
+			return fmt.Sprintf("prob-%.0f%%", pct)
+		},
+		attach: func(r *Runner, m Mechanism, i int, prev prefetch.Prefetcher) prefetch.Prefetcher {
+			return r.probabilistic(m.Coverage, i, prev)
+		},
+	},
 }
+
+// label returns a name function that ignores the mechanism's settings.
+func label(s string) func(Mechanism) string { return func(Mechanism) string { return s } }
 
 // probNames holds the names of the whole-percent probabilistic
 // mechanisms, "prob-0%" through "prob-100%".
@@ -240,15 +312,18 @@ type genKey struct {
 type genEntry struct {
 	gen      *workload.Generated
 	sources  []isa.EventSource
-	tifsSeed string // spec.Name + "/" + scale.String()
+	tifsSeed string   // spec.Name + "/" + scale.String()
+	probSeed []string // per core: spec.Name + "/" + core index
 }
 
 // Runner executes simulations while recycling every piece of machine
 // state between runs: the workload executors, the per-core caches,
-// predictors and next-line buffers, the shared L2, the TIFS instance
-// (IMLs, SVBs, and the open-addressed Index Table), and the alternative
-// prefetch mechanisms. After a warmup run of a given shape, repeated
-// runs perform zero heap allocations (verified by
+// predictors and next-line buffers, the shared L2, and the prefetchers.
+// Each mechanism kind keeps its own per-core pool (see kinds), so a
+// Runner serving mixed mechanisms reuses each kind's tables when the
+// kind comes back; TIFS is one chip-wide instance (IMLs, SVBs, and the
+// open-addressed Index Table). After a warmup run of a given shape,
+// repeated runs perform zero heap allocations (verified by
 // TestRunnerSteadyStateZeroAlloc).
 //
 // The returned Result's PerCore and TIFS fields alias buffers owned by
@@ -258,18 +333,14 @@ type genEntry struct {
 // worker.
 type Runner struct {
 	gens map[genKey]*genEntry
+	ge   *genEntry // the current run's workload
 
 	un    *uncore.L2
 	cores []*cpu.Core
 	tifs  *core.TIFS
-	fdip  []*prefetch.FDIP
-	disc  []*prefetch.Discontinuity
-	prob  []*prefetch.Probabilistic // also the perfect streamer
-
-	// probSeeds caches the per-core seed strings of the probabilistic
-	// mechanism for the workload named probSpec.
-	probSeeds []string
-	probSpec  string
+	// pools holds each pool's per-core prefetchers, keyed by kind (see
+	// kind.pool); entries are nil until a run of that kind builds them.
+	pools map[string][]prefetch.Prefetcher
 
 	warmStats   []cpu.Stats
 	warmPf      []prefetch.Stats
@@ -283,7 +354,7 @@ type Runner struct {
 
 // NewRunner creates an empty Runner; its pools fill on first use.
 func NewRunner() *Runner {
-	return &Runner{gens: map[genKey]*genEntry{}}
+	return &Runner{gens: map[genKey]*genEntry{}, pools: map[string][]prefetch.Prefetcher{}}
 }
 
 // workload returns a reusable instance for (spec, scale, cores), rewound
@@ -296,6 +367,9 @@ func (r *Runner) workload(spec workload.Spec, scale workload.Scale, cores int) *
 	}
 	gen := workload.Build(spec, scale, cores)
 	ge := &genEntry{gen: gen, sources: gen.Sources(), tifsSeed: spec.Name + "/" + scale.String()}
+	for i := range cores {
+		ge.probSeed = append(ge.probSeed, fmt.Sprintf("%s/%d", spec.Name, i))
+	}
 	r.gens[key] = ge
 	return ge
 }
@@ -320,7 +394,12 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 		cfg.CPU.BackendCPI = spec.BackendCPI
 	}
 
-	ge := r.workload(spec, scale, cfg.Cores)
+	kindName := cmp.Or(cfg.Mechanism.Kind, KindNone)
+	k, ok := kinds[kindName]
+	if !ok {
+		panic("sim: unknown mechanism " + cfg.Mechanism.Kind)
+	}
+	r.ge = r.workload(spec, scale, cfg.Cores)
 	if r.un == nil {
 		r.un = uncore.New(cfg.Uncore)
 	} else {
@@ -333,79 +412,28 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	if len(r.cores) != cfg.Cores {
 		r.cores = make([]*cpu.Core, cfg.Cores)
 		r.tifs = nil
-		r.fdip = nil
-		r.disc = nil
-		r.prob = nil
+		clear(r.pools)
+	}
+	poolName := cmp.Or(k.pool, kindName)
+	pool := r.pools[poolName]
+	if pool == nil {
+		pool = make([]prefetch.Prefetcher, cfg.Cores)
+		r.pools[poolName] = pool
 	}
 
-	// Build or reset per-core state; TIFS is one shared instance.
-	var tifs *core.TIFS
+	// Build or reset each core, then attach its prefetcher.
 	for i := range r.cores {
 		ccfg := cfg.CPU
 		ccfg.EventBudget = cfg.WarmupEvents + cfg.EventsPerCore
 		c := r.cores[i]
 		if c == nil {
-			c = cpu.New(i, ccfg, ge.sources[i], nil, un)
+			c = cpu.New(i, ccfg, r.ge.sources[i], nil, un)
 			r.cores[i] = c
 		} else {
-			c.Reset(ccfg, ge.sources[i])
+			c.Reset(ccfg, r.ge.sources[i])
 		}
-		var pf prefetch.Prefetcher
-		switch cfg.Mechanism.Kind {
-		case "", KindNone:
-			pf = prefetch.None{}
-		case KindFDIP:
-			if r.fdip == nil {
-				r.fdip = make([]*prefetch.FDIP, cfg.Cores)
-			}
-			if r.fdip[i] == nil {
-				r.fdip[i] = prefetch.NewFDIP(prefetch.FDIPConfig{}, i, un, c)
-			} else {
-				r.fdip[i].Reset(prefetch.FDIPConfig{})
-			}
-			pf = r.fdip[i]
-		case KindDiscontinuity:
-			if r.disc == nil {
-				r.disc = make([]*prefetch.Discontinuity, cfg.Cores)
-			}
-			if r.disc[i] == nil {
-				r.disc[i] = prefetch.NewDiscontinuity(prefetch.DiscontinuityConfig{}, i, un, c)
-			} else {
-				r.disc[i].Reset(prefetch.DiscontinuityConfig{})
-			}
-			pf = r.disc[i]
-		case KindTIFS:
-			if tifs == nil {
-				tcfg := cfg.Mechanism.TIFS
-				tcfg.Seed = ge.tifsSeed
-				if r.tifs == nil {
-					r.tifs = core.New(tcfg, cfg.Cores, un)
-				} else {
-					r.tifs.Reset(tcfg, un)
-				}
-				tifs = r.tifs
-			}
-			pf = tifs.Core(i)
-		case KindProb, KindPerfect:
-			coverage := cfg.Mechanism.Coverage
-			if cfg.Mechanism.Kind == KindPerfect {
-				// At coverage 1 the generator is never drawn from.
-				coverage = 1
-			}
-			if r.prob == nil {
-				r.prob = make([]*prefetch.Probabilistic, cfg.Cores)
-			}
-			seed := r.probSeed(spec.Name, i, cfg.Cores)
-			if r.prob[i] == nil {
-				r.prob[i] = prefetch.NewProbabilistic(coverage, seed)
-			} else {
-				r.prob[i].Reset(coverage, seed)
-			}
-			pf = r.prob[i]
-		default:
-			panic("sim: unknown mechanism " + cfg.Mechanism.Kind)
-		}
-		c.SetPrefetcher(pf)
+		pool[i] = k.attach(r, cfg.Mechanism, i, pool[i])
+		c.SetPrefetcher(pool[i])
 	}
 	cores := r.cores
 
@@ -422,7 +450,7 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	res := Result{
 		Workload:  spec.Name,
 		Mechanism: cfg.Mechanism.Name(),
-		Traffic:   subTraffic(un.Traffic(), r.warmTraffic),
+		Traffic:   un.Traffic().Sub(r.warmTraffic),
 		Uncore:    un.Stats(),
 	}
 	if cap(r.perCore) < cfg.Cores {
@@ -440,8 +468,8 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 		res.Prefetch.Add(subPf(c.Prefetcher().Stats(), warmPf[i]))
 	}
 	res.PerCore = r.perCore
-	if tifs != nil {
-		r.tstats = tifs.TIFSStats()
+	if kindName == KindTIFS {
+		r.tstats = r.tifs.TIFSStats()
 		res.TIFS = &r.tstats
 	}
 	return res
@@ -521,17 +549,15 @@ func (r *Runner) noteWarm(next int, warmupEvents uint64, nCores int) {
 	}
 }
 
-// probSeed returns the cached probabilistic-mechanism seed string for
-// (workload, core), rebuilding the cache only when the workload changes.
-func (r *Runner) probSeed(workloadName string, i, cores int) string {
-	if r.probSpec != workloadName || len(r.probSeeds) != cores {
-		r.probSeeds = make([]string, cores)
-		for c := 0; c < cores; c++ {
-			r.probSeeds[c] = fmt.Sprintf("%s/%d", workloadName, c)
-		}
-		r.probSpec = workloadName
+// probabilistic returns prev reset, or a new probabilistic prefetcher
+// when prev is nil, for core i at the given coverage.
+func (r *Runner) probabilistic(coverage float64, i int, prev prefetch.Prefetcher) prefetch.Prefetcher {
+	seed := r.ge.probSeed[i]
+	if p, ok := prev.(*prefetch.Probabilistic); ok {
+		p.Reset(coverage, seed)
+		return p
 	}
-	return r.probSeeds[i]
+	return prefetch.NewProbabilistic(coverage, seed)
 }
 
 // resetSlice returns *s resized to n with zeroed elements, reusing its
@@ -576,9 +602,4 @@ func subPf(a, warm prefetch.Stats) prefetch.Stats {
 	a.MetaReads -= warm.MetaReads
 	a.MetaWrites -= warm.MetaWrites
 	return a
-}
-
-// subTraffic subtracts the warmup-era ledger.
-func subTraffic(a, warm uncore.Traffic) uncore.Traffic {
-	return a.Sub(warm)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tifs/internal/core"
@@ -143,6 +144,42 @@ func TestMechanismNames(t *testing.T) {
 		if got := m.Name(); got != want {
 			t.Errorf("Name = %q, want %q", got, want)
 		}
+	}
+}
+
+// TestMechanismByName: every listed CLI name and both aliases resolve,
+// each listed name is its mechanism's output label lower-cased, so CLI
+// names and labels cannot drift, and the kinds table has exactly one
+// entry per Kind* constant.
+func TestMechanismByName(t *testing.T) {
+	for _, name := range MechanismNames() {
+		m, err := MechanismByName(name)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if label := strings.ToLower(m.Name()); label != name {
+			t.Errorf("%s resolves to a mechanism labelled %q", name, m.Name())
+		}
+	}
+	for alias, name := range map[string]string{"baseline": "next-line", "tifs": "tifs-unbounded"} {
+		got, err := MechanismByName(alias)
+		want, _ := MechanismByName(name)
+		if err != nil || got != want {
+			t.Errorf("alias %s = %+v, %v; want %s's %+v", alias, got, err, name, want)
+		}
+	}
+	if _, err := MechanismByName("no-such-mechanism"); err == nil {
+		t.Error("an unknown name resolved")
+	}
+	all := []string{KindNone, KindFDIP, KindDiscontinuity, KindTIFS, KindPerfect, KindProb}
+	for _, k := range all {
+		if _, ok := kinds[k]; !ok {
+			t.Errorf("kind %q has no table entry", k)
+		}
+	}
+	if len(kinds) != len(all) {
+		t.Errorf("kinds table has %d entries, want one per kind constant (%d)", len(kinds), len(all))
 	}
 }
 

@@ -611,33 +611,21 @@ func (s *Service) runSweep(j *job) (string, error) {
 	})
 }
 
-// runSimulation executes the single-simulation form: the mechanism and
-// (optionally) its next-line baseline as one engine batch, rendered as
-// the tifssim report.
+// runSimulation executes the single-simulation form through
+// Engine.RunReport, the path tifssim takes locally.
 func (s *Service) runSimulation(j *job) (string, error) {
 	spec, _ := workload.ByName(j.req.Workload)
 	mech, err := sim.MechanismByName(j.req.Mechanism)
 	if err != nil {
 		return "", err
 	}
-	jobs := []engine.Job{{Spec: spec, Scale: j.scale, Config: sim.Config{
+	out := s.eng.RunReport(s.ctx, engine.Job{Spec: spec, Scale: j.scale, Config: sim.Config{
 		Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: mech,
-	}}}
-	withBaseline := j.req.Baseline && mech.Kind != sim.KindNone
-	if withBaseline {
-		jobs = append(jobs, engine.Job{Spec: spec, Scale: j.scale, Config: sim.Config{
-			Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: sim.Baseline(),
-		}})
-	}
-	results := s.eng.RunAll(s.ctx, jobs)
+	}}, j.req.Baseline)
 	if s.ctx.Err() != nil {
 		return "", errors.New("sweepd: service shut down mid-run")
 	}
-	var base *sim.Result
-	if withBaseline {
-		base = &results[1]
-	}
-	return sim.Report(results[0], base, j.scale, j.req.Cores), nil
+	return out, nil
 }
 
 // observe fans the engine's scheduling events out to every running job:

@@ -184,12 +184,9 @@ type L2 struct {
 
 // New builds the uncore; zero-valued config fields default to Table II.
 func New(cfg Config) *L2 {
-	cfg = cfg.withDefaults()
-	return &L2{
-		cfg:      cfg,
-		cache:    cache.New(cfg.L2),
-		bankFree: make([]uint64, cfg.Banks),
-	}
+	u := &L2{}
+	u.Reset(cfg)
+	return u
 }
 
 // Config returns the applied configuration.
@@ -200,7 +197,7 @@ func (u *L2) Config() Config { return u.cfg }
 // simulation runs do not reallocate the L2.
 func (u *L2) Reset(cfg Config) {
 	cfg = cfg.withDefaults()
-	if u.cache.Config() == cfg.L2 {
+	if u.cache != nil && u.cache.Config() == cfg.L2 {
 		u.cache.Reset()
 	} else {
 		u.cache = cache.New(cfg.L2)

@@ -442,7 +442,8 @@ func NetFaultTransport(spec string, inner http.RoundTripper) (http.RoundTripper,
 // run once, and output is identical to running each job serially.
 // Cancelling ctx stops scheduling and leaves unfinished slots as zero
 // Results, so treat the batch as invalid once ctx is cancelled.
-// Supplying one engine to several experiment runs
+// RunReport(ctx, job, baseline) renders one point's report, the bytes
+// tifssim prints and the sweep service returns. Supplying one engine to several experiment runs
 // (ExperimentOptions.Engine) shares memoized simulations between them;
 // its counters say how much work a run actually performed. Close it when
 // done to release its pooled simulation machines.
@@ -489,10 +490,10 @@ func RunExperiments(ids []string, o ExperimentOptions) (string, error) {
 	return out, nil
 }
 
-// MechanismByName resolves the CLI mechanism names ("next-line",
-// "fdip", "discontinuity", "tifs-unbounded", "tifs-dedicated",
-// "tifs-virtualized", "perfect") to their constructors — the same
-// registry tifssim and the sweep service use.
+// MechanismByName resolves the CLI mechanism names MechanismNames lists,
+// plus the aliases "baseline" (next-line) and "tifs" (tifs-unbounded),
+// to their constructors — the same registry tifssim and the sweep
+// service use.
 func MechanismByName(name string) (Mechanism, error) {
 	m, err := sim.MechanismByName(name)
 	if err != nil {
@@ -501,14 +502,9 @@ func MechanismByName(name string) (Mechanism, error) {
 	return m, nil
 }
 
-// SimReport renders the detailed single-simulation report tifssim
-// prints: cycles, IPC, fetch-stall share, coverage, the L2 traffic
-// ledger, and the speedup line when a next-line baseline accompanies
-// the run. The sweep service returns exactly these bytes for a
-// simulation-form job.
-func SimReport(r SimResult, baseline *SimResult, scale Scale, cores int) string {
-	return sim.Report(r, baseline, scale, cores)
-}
+// MechanismNames lists the canonical CLI mechanism names, in the order
+// tifssim's usage prints them.
+func MechanismNames() []string { return sim.MechanismNames() }
 
 // --- Sweep service -----------------------------------------------------
 

@@ -143,7 +143,7 @@ func TestJobServiceEndToEnd(t *testing.T) {
 }
 
 // TestJobSimulationMatchesLocalReport: the simulation-form job returns
-// exactly the bytes tifssim would print locally (shared report path).
+// exactly the bytes tifssim prints locally through RunReport.
 func TestJobSimulationMatchesLocalReport(t *testing.T) {
 	spec, err := tifs.WorkloadByName("OLTP-DB2")
 	if err != nil {
@@ -155,14 +155,9 @@ func TestJobSimulationMatchesLocalReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Mechanism = mech
-	jobs := []tifs.SimJob{
-		{Spec: spec, Scale: tifs.ScaleSmall, Config: cfg},
-		{Spec: spec, Scale: tifs.ScaleSmall, Config: tifs.SimConfig{Cores: 4, EventsPerCore: 3_000, Mechanism: tifs.NextLineOnly()}},
-	}
 	e := tifs.NewSimEngine(2, nil)
 	defer e.Close()
-	results := e.RunAll(context.Background(), jobs)
-	want := tifs.SimReport(results[0], &results[1], tifs.ScaleSmall, 4)
+	want := e.RunReport(context.Background(), tifs.SimJob{Spec: spec, Scale: tifs.ScaleSmall, Config: cfg}, true)
 
 	_, ts := startJobServer(t, t.TempDir())
 	c := tifs.DialJobService(ts.URL, nil)
