@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tifs/internal/cli"
 )
 
 // watchWriter buffers a process's stderr and closes started the first
@@ -95,8 +97,8 @@ func TestInterruptedShardWorkerReleasesLeaseAndMergeCompletes(t *testing.T) {
 		// budget, but not a failure of the contract under test.
 		t.Skip("worker finished before the interrupt landed")
 	}
-	if code != exitInterrupted {
-		t.Fatalf("interrupted worker exited %d (err %v), want %d\nstderr:\n%s", code, werr, exitInterrupted, stderr.String())
+	if code != cli.ExitInterrupted {
+		t.Fatalf("interrupted worker exited %d (err %v), want %d\nstderr:\n%s", code, werr, cli.ExitInterrupted, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "interrupted — lease released") {
 		t.Fatalf("worker stderr missing the interrupted marker:\n%s", stderr.String())

@@ -62,41 +62,17 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"tifs"
+	"tifs/internal/cli"
 )
 
 func main() {
 	os.Exit(run())
-}
-
-// exitInterrupted is the exit code after a clean signal-triggered
-// shutdown (128+SIGINT, the shell convention).
-const exitInterrupted = 130
-
-// signalContext returns a context cancelled on the first SIGINT or
-// SIGTERM, letting in-flight work stop at a clean boundary (lease
-// released, store flushed and closed). A second signal force-quits
-// immediately for the case where the graceful path itself is stuck.
-func signalContext() (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-ch
-		fmt.Fprintln(os.Stderr, "tifsbench: interrupt — finishing current batch and releasing the shard lease (send again to force quit)")
-		cancel()
-		<-ch
-		fmt.Fprintln(os.Stderr, "tifsbench: second interrupt — forcing quit")
-		os.Exit(exitInterrupted)
-	}()
-	return ctx, cancel
 }
 
 func run() int {
@@ -128,17 +104,7 @@ func run() int {
 	}
 
 	if *storeGC {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "-store-gc requires -cache-dir")
-			return 2
-		}
-		st, err := tifs.CompactResultStore(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintln(os.Stderr, st)
-		return 0
+		return cli.StoreGC(*cacheDir)
 	}
 
 	if *cpuProfile != "" {
@@ -174,11 +140,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if *cores < 0 || *cores > tifs.MaxCores {
-		fmt.Fprintf(os.Stderr, "-cores %d: want 0 (the default 4) to %d\n", *cores, tifs.MaxCores)
+	if !cli.CoresOK(*cores) {
 		return 2
 	}
-	ctx, stop := signalContext()
+	ctx, stop := cli.SignalContext()
 	defer stop()
 	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores}
 	if *workloads != "" {
@@ -214,7 +179,10 @@ func run() int {
 	}
 
 	if *submit != "" {
-		return runSubmit(ctx, *submit, httpClient, ids, o)
+		return cli.Submit(ctx, *submit, httpClient, tifs.JobRequest{
+			Experiments: ids, Workloads: o.Workloads,
+			Scale: fmt.Sprint(o.Scale), Events: o.Events, Cores: o.Cores,
+		})
 	}
 	// -remote replaces -cache-dir for runs, -shard, and -merge.
 	loc := tifs.StoreLocation{Dir: *cacheDir}
@@ -238,32 +206,12 @@ func runExperiments(ctx context.Context, loc tifs.StoreLocation, parallelism int
 		fmt.Fprintln(os.Stderr, "-merge requires -cache-dir or -remote (the store the shard workers filled)")
 		return 2
 	}
-	var st tifs.StoreBackend
-	switch {
-	case loc.URL != "":
-		rs := tifs.DialRemoteStore(ctx, loc.URL, loc.HTTPClient)
-		defer func() {
-			fmt.Fprintln(os.Stderr, rs.Stats())
-			if err := rs.Close(); err != nil {
-				// Undelivered write-backs are a warning, not a failure: the
-				// tables printed are correct, and a later run or merge just
-				// recomputes what never reached the server.
-				fmt.Fprintln(os.Stderr, "tifsbench:", err)
-			}
-		}()
-		st = rs
-	case loc.Dir != "":
-		local, err := tifs.OpenResultStore(loc.Dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer func() {
-			fmt.Fprintln(os.Stderr, local.Stats())
-			local.Close()
-		}()
-		st = local
+	st, err := tifs.OpenStore(ctx, loc)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
+	defer cli.CloseStore(st)
 	var missingJobs, missingTraces int
 	if merge {
 		// Preflight coverage against the grid itself: the engine's counters
@@ -303,84 +251,7 @@ func runExperiments(ctx context.Context, loc tifs.StoreLocation, parallelism int
 			fmt.Fprintf(os.Stderr, "merge: assembled entirely from the store (%d hits)\n", eng.StoreHits())
 		}
 	}
-	return interrupted(ctx)
-}
-
-// interrupted converts a cancelled run context into the exit status: any
-// output printed after cancellation is partial and must not be mistaken
-// for a completed run.
-func interrupted(ctx context.Context) int {
-	if ctx.Err() == nil {
-		return 0
-	}
-	fmt.Fprintln(os.Stderr, "tifsbench: interrupted — output above is partial")
-	return exitInterrupted
-}
-
-// runSubmit ships the run to a sweep service: it posts the experiment
-// selection as a job, streams progress to stderr, and prints the
-// server-rendered tables — byte-identical to a local run — to stdout.
-// A duplicate of in-flight work joins the existing job (reported on
-// stderr) rather than re-running it.
-func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []string, o tifs.ExperimentOptions) int {
-	c := tifs.DialJobService(url, httpClient)
-	c.Name = submitClientName()
-	req := tifs.JobRequest{
-		Experiments: ids,
-		Workloads:   o.Workloads,
-		Scale:       fmt.Sprint(o.Scale),
-		Events:      o.Events,
-		Cores:       o.Cores,
-	}
-	st, err := tifs.SubmitJob(ctx, c, req)
-	if err != nil {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "tifsbench: interrupted before the job was accepted")
-			return exitInterrupted
-		}
-		fmt.Fprintln(os.Stderr, "tifsbench:", err)
-		return 1
-	}
-	if st.Deduped {
-		fmt.Fprintf(os.Stderr, "tifsbench: job %s deduplicated — joined identical in-flight work (state %s)\n", st.ID, st.State)
-	} else {
-		fmt.Fprintf(os.Stderr, "tifsbench: job %s accepted\n", st.ID)
-	}
-	final, err := tifs.WatchJob(ctx, c, st.ID, func(ev tifs.JobEvent) {
-		switch ev.Kind {
-		case "experiment-start":
-			fmt.Fprintf(os.Stderr, "tifsbench: job %s: experiment %s (sims so far: %d run, %d store hits)\n",
-				st.ID, ev.Phase, ev.SimsRun, ev.StoreHits)
-		case "failed":
-			fmt.Fprintf(os.Stderr, "tifsbench: job %s failed: %s\n", st.ID, ev.Msg)
-		}
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "tifsbench: interrupted — the job keeps running server-side; resubmit the same flags to rejoin it")
-			return exitInterrupted
-		}
-		fmt.Fprintln(os.Stderr, "tifsbench:", err)
-		return 1
-	}
-	if final.State != tifs.JobDone {
-		fmt.Fprintf(os.Stderr, "tifsbench: job %s %s: %s\n", final.ID, final.State, final.Error)
-		return 1
-	}
-	fmt.Print(final.Output)
-	fmt.Fprintf(os.Stderr, "tifsbench: job %s done — simulations run: %d, store hits: %d\n",
-		final.ID, final.SimsRun, final.StoreHits)
-	return interrupted(ctx)
-}
-
-// submitClientName identifies this process for the service's per-client
-// fairness accounting.
-func submitClientName() string {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "unknown-host"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
+	return cli.Status(ctx)
 }
 
 // runShardWorker executes one sweep worker: shard "i/N" pins a shard,
@@ -414,7 +285,7 @@ func runShardWorker(ctx context.Context, spec string, loc tifs.StoreLocation, pa
 		}
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "tifsbench: interrupted — lease released; stored results are kept, a fresh worker resumes where this one stopped")
-			return exitInterrupted
+			return cli.ExitInterrupted
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -434,7 +305,7 @@ func runShardWorker(ctx context.Context, spec string, loc tifs.StoreLocation, pa
 		// the interrupt; everything counted is already in the store.
 		fmt.Fprintf(os.Stderr, "%s (interrupted)\n", rep)
 		fmt.Fprintln(os.Stderr, "tifsbench: interrupted — lease released; stored results are kept, a fresh worker resumes where this one stopped")
-		return exitInterrupted
+		return cli.ExitInterrupted
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

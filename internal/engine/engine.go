@@ -253,18 +253,11 @@ func Default() *Engine {
 	return defaultEngine
 }
 
-// Run executes one job, deduplicating against identical in-flight or
-// completed runs. The caller blocks until the result is available, or
-// until ctx is cancelled — then the zero Result returns immediately and
-// the job, if it never started, is forgotten rather than poisoned.
-func (e *Engine) Run(ctx context.Context, job Job) sim.Result {
-	return e.wait(ctx, e.start(ctx, job))
-}
-
 // RunAll executes a batch of jobs across the worker pool and returns the
-// results in job order. Duplicate keys within the batch (and against any
-// earlier run) are simulated only once. If ctx is cancelled mid-batch,
-// unstarted jobs are abandoned and their slots hold the zero Result.
+// results in job order; one job is a batch of one. Duplicate keys within
+// the batch (and against any earlier run) are simulated only once. If
+// ctx is cancelled mid-batch, unstarted jobs are abandoned — forgotten
+// rather than poisoned — and their slots hold the zero Result.
 func (e *Engine) RunAll(ctx context.Context, jobs []Job) []sim.Result {
 	entries := make([]*simEntry, len(jobs))
 	for i, j := range jobs {
@@ -297,7 +290,9 @@ func (e *Engine) RunReport(ctx context.Context, job Job, baseline bool) string {
 	if len(results) == 2 {
 		base = &results[1]
 	}
-	return sim.Report(results[0], base, job.Scale, job.Config.Cores)
+	// The header names the cores the run used: Config.Cores 0 runs the
+	// default 4.
+	return sim.Report(results[0], base, job.Scale, len(results[0].PerCore))
 }
 
 // start launches (or joins) the simulation for job and returns its entry.
@@ -409,23 +404,17 @@ func (e *Engine) Keys() (sims, traces []string) {
 	return sims, traces
 }
 
-// ExtractTraces is MissTraces keyed by a TraceJob, for callers that
-// enumerate extraction work the same way they enumerate simulations.
-func (e *Engine) ExtractTraces(ctx context.Context, t TraceJob) [][]trace.MissRecord {
-	return e.MissTraces(ctx, t.Spec, t.Scale, t.Cores, t.Events)
-}
-
-// MissTraces returns the per-core filtered L1-I miss traces for a
-// workload build — the input of every offline analysis experiment —
+// ExtractTraces returns the per-core filtered L1-I miss traces of the
+// extraction t names — the input of every offline analysis experiment —
 // extracting each core's trace concurrently and memoizing the whole set.
 // Callers must treat the returned records as read-only; they are shared.
 // A cancelled ctx returns nil; a partially extracted set is discarded,
 // not memoized.
-func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workload.Scale, cores int, events uint64) [][]trace.MissRecord {
+func (e *Engine) ExtractTraces(ctx context.Context, t TraceJob) [][]trace.MissRecord {
 	if ctx.Err() != nil {
 		return nil
 	}
-	key := TraceJob{Spec: spec, Scale: scale, Cores: cores, Events: events}.Key()
+	key := t.Key()
 	e.mu.Lock()
 	if en, ok := e.traces[key]; ok {
 		e.mu.Unlock()
@@ -451,7 +440,7 @@ func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workl
 	}
 
 	if e.store != nil {
-		if recs, ok := e.store.GetMissTraces(key); ok && len(recs) == cores {
+		if recs, ok := e.store.GetMissTraces(key); ok && len(recs) == t.Cores {
 			e.storeHits.Add(1)
 			en.recs = recs
 			e.notify(EventStoreHit, key)
@@ -461,12 +450,12 @@ func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workl
 	}
 
 	e.notify(EventTraceStart, key)
-	gen := workload.Build(spec, scale, cores)
+	gen := workload.Build(t.Spec, t.Scale, t.Cores)
 	sources := gen.Sources()
-	recs := make([][]trace.MissRecord, cores)
+	recs := make([][]trace.MissRecord, t.Cores)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
-	for i := 0; i < cores; i++ {
+	for i := 0; i < t.Cores; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -477,7 +466,7 @@ func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workl
 				return
 			}
 			defer func() { <-e.sem }()
-			recs[i] = trace.ExtractMisses(sources[i], events, trace.ExtractorConfig{})
+			recs[i] = trace.ExtractMisses(sources[i], t.Events, trace.ExtractorConfig{})
 		}(i)
 	}
 	wg.Wait()

@@ -73,7 +73,7 @@ func TestDuplicateJobsSimulateOnce(t *testing.T) {
 		}
 	}
 	// A later submission of the same job is also a memo hit.
-	e.Run(context.Background(), j)
+	e.RunAll(context.Background(), []Job{j})
 	if got := e.SimulationsRun(); got != 1 {
 		t.Errorf("re-run after completion ran %d simulations, want 1", got)
 	}
@@ -90,13 +90,15 @@ func TestRunReport(t *testing.T) {
 	e := New(2)
 	got := e.RunReport(ctx, fdip, true)
 	res := e.RunAll(ctx, []Job{fdip, base})
-	if want := sim.Report(res[0], &res[1], workload.ScaleSmall, 0); got != want {
+	// job leaves Config.Cores 0, so the point runs, and its header names,
+	// the default 4 cores.
+	if want := sim.Report(res[0], &res[1], workload.ScaleSmall, 4); got != want {
 		t.Errorf("report with baseline:\n%s\nwant\n%s", got, want)
 	}
-	if got, want := e.RunReport(ctx, fdip, false), sim.Report(res[0], nil, workload.ScaleSmall, 0); got != want {
+	if got, want := e.RunReport(ctx, fdip, false), sim.Report(res[0], nil, workload.ScaleSmall, 4); got != want {
 		t.Errorf("report without baseline:\n%s\nwant\n%s", got, want)
 	}
-	if got, want := e.RunReport(ctx, base, true), sim.Report(res[1], nil, workload.ScaleSmall, 0); got != want {
+	if got, want := e.RunReport(ctx, base, true), sim.Report(res[1], nil, workload.ScaleSmall, 4); got != want {
 		t.Errorf("baseline point's report:\n%s\nwant\n%s", got, want)
 	}
 	if n := e.SimulationsRun(); n != 2 {
@@ -112,8 +114,8 @@ func TestRunReport(t *testing.T) {
 func TestCachedResultsDoNotAlias(t *testing.T) {
 	e := New(2)
 	j := job(spec(t, "DSS-Qry2"), sim.TIFS(core.VirtualizedConfig()))
-	a := e.Run(context.Background(), j)
-	b := e.Run(context.Background(), j)
+	a := e.RunAll(context.Background(), []Job{j})[0]
+	b := e.RunAll(context.Background(), []Job{j})[0]
 	if a.TIFS == nil || b.TIFS == nil {
 		t.Fatal("TIFS stats missing")
 	}
@@ -122,7 +124,7 @@ func TestCachedResultsDoNotAlias(t *testing.T) {
 	}
 	a.PerCore[0].Cycles = 0
 	a.TIFS.IndexLookups = 0
-	c := e.Run(context.Background(), j)
+	c := e.RunAll(context.Background(), []Job{j})[0]
 	if c.PerCore[0].Cycles == 0 || c.TIFS.IndexLookups == 0 {
 		t.Error("mutating a returned result corrupted the cache")
 	}
@@ -177,7 +179,7 @@ func TestStoreSecondTier(t *testing.T) {
 	e1 := New(2)
 	e1.SetBackend(st1)
 	cold := e1.RunAll(context.Background(), jobs)
-	coldTraces := e1.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
+	coldTraces := e1.ExtractTraces(context.Background(), TraceJob{Spec: oltp, Scale: workload.ScaleSmall, Cores: 4, Events: 5_000})
 	if got := e1.SimulationsRun(); got != 3 {
 		t.Fatalf("cold engine ran %d simulations, want 3", got)
 	}
@@ -194,7 +196,7 @@ func TestStoreSecondTier(t *testing.T) {
 	e2 := New(2)
 	e2.SetBackend(st2)
 	warm := e2.RunAll(context.Background(), jobs)
-	warmTraces := e2.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
+	warmTraces := e2.ExtractTraces(context.Background(), TraceJob{Spec: oltp, Scale: workload.ScaleSmall, Cores: 4, Events: 5_000})
 	if got := e2.SimulationsRun(); got != 0 {
 		t.Errorf("warm engine ran %d simulations, want 0", got)
 	}
@@ -229,7 +231,7 @@ func TestSetBackendTypedNilStoreDisablesTier(t *testing.T) {
 	if res[0].Cycles == 0 || res[1].Cycles == 0 {
 		t.Error("batch over the disabled tier returned empty results")
 	}
-	if recs := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000); len(recs) != 4 {
+	if recs := e.ExtractTraces(context.Background(), TraceJob{Spec: oltp, Scale: workload.ScaleSmall, Cores: 4, Events: 5_000}); len(recs) != 4 {
 		t.Errorf("got %d cores of miss traces, want 4", len(recs))
 	}
 	if e.StoreHits() != 0 || e.SimulationsRun() != 2 {
@@ -240,8 +242,9 @@ func TestSetBackendTypedNilStoreDisablesTier(t *testing.T) {
 func TestMissTracesMemoized(t *testing.T) {
 	e := New(4)
 	oltp := spec(t, "OLTP-DB2")
-	a := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 10_000)
-	b := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 10_000)
+	tj := TraceJob{Spec: oltp, Scale: workload.ScaleSmall, Cores: 4, Events: 10_000}
+	a := e.ExtractTraces(context.Background(), tj)
+	b := e.ExtractTraces(context.Background(), tj)
 	if len(a) != 4 {
 		t.Fatalf("got %d cores", len(a))
 	}

@@ -92,7 +92,7 @@ func (e *Engine) Grammars(ctx context.Context, t TraceJob, dropSequential bool) 
 
 	// The traces come from the memoized tier below; a store hit there
 	// still spares the simulation even when the grammar must be built.
-	recs := e.MissTraces(ctx, t.Spec, t.Scale, t.Cores, t.Events)
+	recs := e.ExtractTraces(ctx, t)
 	if recs == nil || ctx.Err() != nil {
 		return abort()
 	}

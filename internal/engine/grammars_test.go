@@ -19,7 +19,7 @@ func TestEngineClose(t *testing.T) {
 	oltp := spec(t, "OLTP-DB2")
 	e := New(2)
 	a := job(oltp, sim.Baseline())
-	before := e.Run(context.Background(), a)
+	before := e.RunAll(context.Background(), []Job{a})[0]
 	e.Close()
 	e.Close() // idempotent
 	if n := len(e.runnerPool); n != 0 {
@@ -27,7 +27,7 @@ func TestEngineClose(t *testing.T) {
 	}
 	b := a
 	b.Config.EventsPerCore = 9_000 // a fresh key, so it really simulates
-	after := e.Run(context.Background(), b)
+	after := e.RunAll(context.Background(), []Job{b})[0]
 	if after.Cycles == 0 || before.Cycles == 0 {
 		t.Fatal("runs around Close produced empty results")
 	}
@@ -74,7 +74,7 @@ func TestGrammarsMemoized(t *testing.T) {
 		t.Errorf("GrammarBuilds after variant = %d, want 2", got)
 	}
 
-	recs := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 10_000)
+	recs := e.ExtractTraces(context.Background(), tj)
 	for i := range recs {
 		if want := grammarFromTraces(recs[i], false); !reflect.DeepEqual(full[i], want) {
 			t.Errorf("core %d full grammar diverges from direct SEQUITUR pass", i)
@@ -105,7 +105,7 @@ func TestGrammarStoreTier(t *testing.T) {
 	if got := e1.GrammarBuilds(); got != 1 {
 		t.Fatalf("cold GrammarBuilds = %d, want 1", got)
 	}
-	if !st1.HasGrammars(key) {
+	if _, ok := st1.GetBlob(store.Address(store.KindGrammars, key)); !ok {
 		t.Fatal("grammars not persisted")
 	}
 	st1.Close()

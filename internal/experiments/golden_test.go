@@ -253,7 +253,7 @@ func TestGoldenShardedMerge(t *testing.T) {
 						return
 					}
 					defer st.Close()
-					c := shard.NewCoordinator(dir, g, count)
+					c := shard.NewCoordinator(&shard.FileManifest{Dir: dir}, g, count)
 					c.TTL = time.Hour
 					owner := fmt.Sprintf("golden-worker-%d", w)
 					for {

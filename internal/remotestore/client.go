@@ -699,11 +699,6 @@ func (c *Client) HasMissTraces(key string) bool {
 	return c.hasBlob(store.Address(store.KindMissTraces, key))
 }
 
-// HasGrammars implements store.Backend.
-func (c *Client) HasGrammars(key string) bool {
-	return c.hasBlob(store.Address(store.KindGrammars, key))
-}
-
 // Close delivers any queued write-backs (best effort, bounded by the
 // op deadline per payload and by the base context) and releases the
 // client. It first waits for any recovery flush the breaker launched

@@ -299,7 +299,7 @@ func TestManifestCASSingleWinner(t *testing.T) {
 	mk := func() *shard.Coordinator {
 		mc := NewManifestClient(srv.URL, nil)
 		mc.Retry.Sleep = func(time.Duration) {}
-		c := shard.NewCoordinatorBackend(mc, g, 1)
+		c := shard.NewCoordinator(mc, g, 1)
 		c.TTL = time.Hour
 		return c
 	}
@@ -354,7 +354,7 @@ func TestManifestUpdateRidesOutFaults(t *testing.T) {
 	srv, _ := newRig(t, nil)
 	mc := NewManifestClient(srv.URL, &http.Client{Transport: f})
 	mc.Retry.Sleep = func(time.Duration) {}
-	c := shard.NewCoordinatorBackend(mc, testGridForLease(t), 2)
+	c := shard.NewCoordinator(mc, testGridForLease(t), 2)
 	c.TTL = time.Hour
 	if err := c.Claim(0, "alice"); err != nil {
 		t.Fatalf("claim through manifest faults: %v", err)

@@ -10,13 +10,14 @@ import (
 	"tifs/internal/vfs"
 )
 
-// faultCoordinator wires a coordinator to a fault-injecting filesystem
-// with instant (non-sleeping) retries.
+// faultCoordinator wires a coordinator to a manifest on a
+// fault-injecting filesystem with instant (non-sleeping) retries.
 func faultCoordinator(t *testing.T, dir string, g Grid, count int, fsys vfs.FS) *Coordinator {
 	t.Helper()
-	c := testCoordinator(t, dir, g, count)
-	c.FS = fsys
-	c.Retry.Sleep = func(time.Duration) {}
+	m := &FileManifest{Dir: dir, FS: fsys}
+	m.Retry.Sleep = func(time.Duration) {}
+	c := NewCoordinator(m, g, count)
+	c.TTL = time.Hour
 	return c
 }
 

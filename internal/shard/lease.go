@@ -3,13 +3,11 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
-
-	"tifs/internal/retry"
-	"tifs/internal/vfs"
 )
 
 // Lease states. A shard is free until claimed; a claim expires (and
@@ -31,6 +29,17 @@ type Lease struct {
 	// A claimed shard past its deadline may be taken over by any worker —
 	// the manifest lock guarantees exactly one winner.
 	Expires int64
+}
+
+// HostPID names this process "host-pid": the owner a sweep worker
+// writes into its leases, and the client name the CLIs give the sweep
+// service for its per-client fairness accounting.
+func HostPID() string {
+	host, err := os.Hostname()
+	if err != nil {
+		host = "unknown-host"
+	}
+	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
 // Manifest is the sweep's shared coordination state, stored as
@@ -187,8 +196,8 @@ const DefaultTTL = 10 * time.Minute
 // the takeover of an expired lease, has exactly one winner, no matter
 // how many workers race for it.
 type Coordinator struct {
-	dir  string
-	grid Grid
+	backend ManifestBackend
+	grid    Grid
 	// hash is the grid's fingerprint, computed once at construction.
 	hash  string
 	count int
@@ -196,45 +205,19 @@ type Coordinator struct {
 	TTL time.Duration
 	// Now is the clock (overridable in tests).
 	Now func() time.Time
-	// FS is the filesystem the manifest lives on (the fault seam;
-	// vfs.OS outside tests). Only consulted by the file backend.
-	FS vfs.FS
-	// Retry is the backoff policy for transient manifest I/O faults —
-	// the read and the atomic write-back each ride out flaky-NFS-class
-	// errors under it before the operation is reported failed. Only
-	// consulted by the file backend; a remote backend carries its own
-	// policy.
-	Retry retry.Policy
-	// Backend overrides where the manifest lives (nil selects a
-	// FileManifest in dir).
-	Backend ManifestBackend
 }
 
-// NewCoordinator prepares shard coordination for grid split count ways,
-// using dir (normally the shared store directory) for its files.
-func NewCoordinator(dir string, grid Grid, count int) *Coordinator {
+// NewCoordinator prepares shard coordination for grid split count ways
+// through the manifest backend b: a FileManifest in the shared store
+// directory, or a remote manifest behind a tifsserve URL.
+func NewCoordinator(b ManifestBackend, grid Grid, count int) *Coordinator {
 	return &Coordinator{
-		dir:   dir,
-		grid:  grid,
-		hash:  grid.Hash(),
-		count: count,
-		TTL:   DefaultTTL,
-		Now:   time.Now,
-		FS:    vfs.OS,
-	}
-}
-
-// NewCoordinatorBackend prepares shard coordination through an
-// arbitrary manifest backend — the remote-sweep entry point, where the
-// manifest lives behind a tifsserve URL instead of a shared directory.
-func NewCoordinatorBackend(b ManifestBackend, grid Grid, count int) *Coordinator {
-	return &Coordinator{
+		backend: b,
 		grid:    grid,
 		hash:    grid.Hash(),
 		count:   count,
 		TTL:     DefaultTTL,
 		Now:     time.Now,
-		Backend: b,
 	}
 }
 
@@ -256,7 +239,7 @@ func (c *Coordinator) update(fn func(m *Manifest) error) error {
 	if c.count < 1 || c.count > maxShards {
 		return fmt.Errorf("shard: implausible shard count %d", c.count)
 	}
-	return c.backend().Update(func(cur []byte) ([]byte, error) {
+	return c.backend.Update(func(cur []byte) ([]byte, error) {
 		var m Manifest
 		if cur == nil {
 			m = c.freshManifest()
@@ -296,19 +279,10 @@ func (c *Coordinator) freshManifest() Manifest {
 	return m
 }
 
-// backend returns the manifest backend (a FileManifest in dir unless
-// one was injected).
-func (c *Coordinator) backend() ManifestBackend {
-	if c.Backend != nil {
-		return c.Backend
-	}
-	return &FileManifest{Dir: c.dir, FS: c.FS, Retry: c.Retry}
-}
-
 // where names the manifest's location for operator-facing errors.
 func (c *Coordinator) where() string {
-	if c.dir != "" {
-		return filepath.Join(c.dir, manifestName)
+	if f, ok := c.backend.(*FileManifest); ok {
+		return filepath.Join(f.Dir, manifestName)
 	}
 	return "the sweep manifest"
 }

@@ -11,7 +11,7 @@ import (
 
 func testCoordinator(t *testing.T, dir string, g Grid, count int) *Coordinator {
 	t.Helper()
-	c := NewCoordinator(dir, g, count)
+	c := NewCoordinator(&FileManifest{Dir: dir}, g, count)
 	c.TTL = time.Hour
 	return c
 }

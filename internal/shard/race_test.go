@@ -38,7 +38,7 @@ func TestShardedSweepCooperates(t *testing.T) {
 						return
 					}
 					defer st.Close()
-					c := NewCoordinator(dir, g, count)
+					c := NewCoordinator(&FileManifest{Dir: dir}, g, count)
 					c.TTL = time.Hour
 					for {
 						idx, ok, err := c.ClaimAny(owner)
@@ -67,7 +67,7 @@ func TestShardedSweepCooperates(t *testing.T) {
 			}
 
 			// Every shard is done.
-			m, err := NewCoordinator(dir, g, count).Manifest()
+			m, err := NewCoordinator(&FileManifest{Dir: dir}, g, count).Manifest()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestHalfFinishedShardResumes(t *testing.T) {
 
 	// The dying worker: simulate a prefix of shard 0 by hand, then vanish
 	// without completing the lease.
-	dying := NewCoordinator(dir, g, 1)
+	dying := NewCoordinator(&FileManifest{Dir: dir}, g, 1)
 	dying.TTL = -time.Second // lease is born expired
 	if _, ok, err := dying.ClaimAny("dying"); err != nil || !ok {
 		t.Fatalf("setup claim failed: ok=%v err=%v", ok, err)
@@ -186,7 +186,7 @@ func TestHalfFinishedShardResumes(t *testing.T) {
 	st1.Close()
 
 	// The successor takes over and finishes.
-	c := NewCoordinator(dir, g, 1)
+	c := NewCoordinator(&FileManifest{Dir: dir}, g, 1)
 	c.TTL = time.Hour
 	idx, ok, err := c.ClaimAny("successor")
 	if err != nil || !ok {

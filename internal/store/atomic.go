@@ -8,12 +8,6 @@ import (
 	"tifs/internal/vfs"
 )
 
-// AtomicWriteFile durably replaces path with data on the real
-// filesystem. See AtomicWriteFileFS.
-func AtomicWriteFile(path string, data []byte) error {
-	return AtomicWriteFileFS(vfs.OS, path, data)
-}
-
 // AtomicWriteFileFS durably replaces path with data: the bytes are
 // written to a sibling temp file (path + ".tmp"), fsynced, renamed into
 // place, and the directory is fsynced so the replacement survives a

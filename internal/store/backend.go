@@ -41,8 +41,6 @@ type Backend interface {
 	HasResult(key string) bool
 	// HasMissTraces is HasResult for trace extractions.
 	HasMissTraces(key string) bool
-	// HasGrammars is HasResult for grammar snapshot sets.
-	HasGrammars(key string) bool
 	// Close releases the backend's resources (locks, queued
 	// write-backs); the backend is unusable afterwards.
 	Close() error

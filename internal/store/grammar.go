@@ -53,12 +53,6 @@ func (s *Store) PutGrammars(key string, snaps []*sequitur.Snapshot) {
 	s.put(kindGrammars, key, payload)
 }
 
-// HasGrammars is HasResult for grammar snapshot sets.
-func (s *Store) HasGrammars(key string) bool {
-	_, ok := s.get(kindGrammars, key)
-	return ok
-}
-
 // EncodeGrammars serializes per-core grammar snapshots in the store's
 // payload codec.
 func EncodeGrammars(snaps []*sequitur.Snapshot) ([]byte, error) { return encodeGrammars(snaps) }

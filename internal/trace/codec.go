@@ -10,42 +10,36 @@ import (
 	"tifs/internal/isa"
 )
 
-// Binary trace format: a short header followed by delta/varint-packed
-// records. PC and block numbers are delta-encoded against the previous
-// record (zigzag varint), which makes instruction traces compact: most
-// deltas are small.
+// Binary miss-trace format: a short header followed by delta/varint-packed
+// records. Block and sequence numbers are delta-encoded against the
+// previous record (zigzag varint for blocks), which makes miss traces
+// compact: most deltas are small.
 const (
 	magic         = "TIFS"
 	formatVersion = 1
 
-	kindEvents byte = 1
+	// kindMisses is the header's stream-kind byte. It stays 2 — the event
+	// streams that were kind 1 are gone — so stored miss traces decode.
 	kindMisses byte = 2
 
 	// headerLen is the size of a stream header: magic, version, kind.
 	headerLen = len(magic) + 2
 )
 
-// event flag bits.
-const (
-	flagTaken       = 1 << 0
-	flagInnerLoop   = 1 << 1
-	flagSerializing = 1 << 2
-)
-
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func writeHeader(w *bufio.Writer, kind byte) error {
+func writeHeader(w *bufio.Writer) error {
 	if _, err := w.WriteString(magic); err != nil {
 		return err
 	}
 	if err := w.WriteByte(formatVersion); err != nil {
 		return err
 	}
-	return w.WriteByte(kind)
+	return w.WriteByte(kindMisses)
 }
 
-func readHeader(r *bufio.Reader, wantKind byte) error {
+func readHeader(r *bufio.Reader) error {
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return fmt.Errorf("trace: reading magic: %w", err)
@@ -64,8 +58,8 @@ func readHeader(r *bufio.Reader, wantKind byte) error {
 	if err != nil {
 		return err
 	}
-	if kind != wantKind {
-		return fmt.Errorf("trace: stream kind %d, want %d", kind, wantKind)
+	if kind != kindMisses {
+		return fmt.Errorf("trace: stream kind %d, want %d", kind, kindMisses)
 	}
 	return nil
 }
@@ -76,142 +70,18 @@ func putUvarint(w *bufio.Writer, buf []byte, v uint64) error {
 	return err
 }
 
-// EventWriter serializes BlockEvents.
-type EventWriter struct {
-	w      *bufio.Writer
-	buf    []byte
-	prevPC isa.Addr
-	count  uint64
-}
-
-// NewEventWriter starts an event stream on w.
-func NewEventWriter(w io.Writer) (*EventWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, kindEvents); err != nil {
-		return nil, err
-	}
-	return &EventWriter{w: bw, buf: make([]byte, binary.MaxVarintLen64)}, nil
-}
-
-// Write appends one event.
-func (ew *EventWriter) Write(ev isa.BlockEvent) error {
-	if err := putUvarint(ew.w, ew.buf, zigzag(int64(ev.PC)-int64(ew.prevPC))); err != nil {
-		return err
-	}
-	ew.prevPC = ev.PC
-	if err := putUvarint(ew.w, ew.buf, uint64(ev.Instrs)); err != nil {
-		return err
-	}
-	flags := byte(0)
-	if ev.Taken {
-		flags |= flagTaken
-	}
-	if ev.InnerLoop {
-		flags |= flagInnerLoop
-	}
-	if ev.Serializing {
-		flags |= flagSerializing
-	}
-	if err := ew.w.WriteByte(byte(ev.Kind)<<3 | flags); err != nil {
-		return err
-	}
-	// Target is meaningful for everything but pure fallthrough.
-	if ev.Kind != isa.CTFallthrough {
-		if err := putUvarint(ew.w, ew.buf, zigzag(int64(ev.Target)-int64(ev.PC))); err != nil {
-			return err
-		}
-	}
-	ew.count++
-	return nil
-}
-
-// Count returns the number of events written.
-func (ew *EventWriter) Count() uint64 { return ew.count }
-
-// Flush flushes buffered output; call it before closing the underlying
-// writer.
-func (ew *EventWriter) Flush() error { return ew.w.Flush() }
-
-// EventReader deserializes an event stream; it implements
-// isa.EventSource.
-type EventReader struct {
-	r      *bufio.Reader
-	prevPC isa.Addr
-	err    error
-}
-
-// NewEventReader opens an event stream from r.
-func NewEventReader(r io.Reader) (*EventReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if err := readHeader(br, kindEvents); err != nil {
-		return nil, err
-	}
-	return &EventReader{r: br}, nil
-}
-
-// Next implements isa.EventSource. The stream ends cleanly at EOF;
-// corruption is reported by Err.
-func (er *EventReader) Next() (isa.BlockEvent, bool) {
-	if er.err != nil {
-		return isa.BlockEvent{}, false
-	}
-	d, err := binary.ReadUvarint(er.r)
-	if err == io.EOF {
-		return isa.BlockEvent{}, false
-	}
-	if err != nil {
-		er.err = err
-		return isa.BlockEvent{}, false
-	}
-	var ev isa.BlockEvent
-	ev.PC = isa.Addr(int64(er.prevPC) + unzigzag(d))
-	er.prevPC = ev.PC
-
-	instrs, err := binary.ReadUvarint(er.r)
-	if err != nil {
-		er.err = fmt.Errorf("trace: truncated event: %w", err)
-		return isa.BlockEvent{}, false
-	}
-	ev.Instrs = int(instrs)
-
-	kb, err := er.r.ReadByte()
-	if err != nil {
-		er.err = fmt.Errorf("trace: truncated event: %w", err)
-		return isa.BlockEvent{}, false
-	}
-	ev.Kind = isa.CTKind(kb >> 3)
-	ev.Taken = kb&flagTaken != 0
-	ev.InnerLoop = kb&flagInnerLoop != 0
-	ev.Serializing = kb&flagSerializing != 0
-
-	if ev.Kind != isa.CTFallthrough {
-		td, err := binary.ReadUvarint(er.r)
-		if err != nil {
-			er.err = fmt.Errorf("trace: truncated event: %w", err)
-			return isa.BlockEvent{}, false
-		}
-		ev.Target = isa.Addr(int64(ev.PC) + unzigzag(td))
-	}
-	return ev, true
-}
-
-// Err returns the first decode error, if any (io.EOF is a clean end and
-// not reported).
-func (er *EventReader) Err() error { return er.err }
-
 // MissWriter serializes MissRecords.
 type MissWriter struct {
 	w       *bufio.Writer
 	buf     []byte
 	prevBlk isa.Block
 	prevSeq uint64
-	count   uint64
 }
 
 // NewMissWriter starts a miss stream on w.
 func NewMissWriter(w io.Writer) (*MissWriter, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, kindMisses); err != nil {
+	if err := writeHeader(bw); err != nil {
 		return nil, err
 	}
 	return &MissWriter{w: bw, buf: make([]byte, binary.MaxVarintLen64)}, nil
@@ -234,15 +104,8 @@ func (mw *MissWriter) Write(m MissRecord) error {
 	if m.Sequential {
 		seq = 1
 	}
-	if err := mw.w.WriteByte(seq); err != nil {
-		return err
-	}
-	mw.count++
-	return nil
+	return mw.w.WriteByte(seq)
 }
-
-// Count returns the number of records written.
-func (mw *MissWriter) Count() uint64 { return mw.count }
 
 // Flush flushes buffered output.
 func (mw *MissWriter) Flush() error { return mw.w.Flush() }
@@ -258,7 +121,7 @@ type MissReader struct {
 // NewMissReader opens a miss stream from r.
 func NewMissReader(r io.Reader) (*MissReader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	if err := readHeader(br, kindMisses); err != nil {
+	if err := readHeader(br); err != nil {
 		return nil, err
 	}
 	return &MissReader{r: br}, nil

@@ -1,7 +1,7 @@
 // Package trace turns raw fetch-event streams into the L1 instruction
 // miss traces that TIFS and all offline analyses operate on, and provides
-// a compact binary serialization for storing and replaying both kinds of
-// streams.
+// the compact binary miss-trace codec the result store frames its
+// miss-trace payloads with.
 //
 // The paper's definition of a "miss" (Section 4.1) is an instruction
 // fetch that can be satisfied neither by the 64 KB 2-way L1-I cache nor

@@ -190,49 +190,6 @@ func TestDropSequentialAndBlocks(t *testing.T) {
 	}
 }
 
-func TestEventCodecRoundTrip(t *testing.T) {
-	spec, _ := workload.ByName("Web-Zeus")
-	g := workload.Build(spec, workload.ScaleSmall, 1)
-	events := isa.Collect(g.Sources()[0], 20_000)
-
-	var buf bytes.Buffer
-	w, err := NewEventWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if err := w.Write(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != uint64(len(events)) {
-		t.Errorf("Count = %d", w.Count())
-	}
-
-	r, err := NewEventReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range events {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("stream ended at %d: %v", i, r.Err())
-		}
-		if got != want {
-			t.Fatalf("event %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("stream should be exhausted")
-	}
-	if r.Err() != nil {
-		t.Errorf("Err = %v", r.Err())
-	}
-}
-
 func TestMissCodecRoundTrip(t *testing.T) {
 	f := func(blocks []uint32, branches []uint8) bool {
 		if len(blocks) == 0 {
@@ -283,30 +240,29 @@ func TestMissCodecRoundTrip(t *testing.T) {
 }
 
 func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewEventReader(bytes.NewReader([]byte("NOPE1234"))); err == nil {
+	if _, err := NewMissReader(bytes.NewReader([]byte("NOPE1234"))); err == nil {
 		t.Error("bad magic accepted")
 	}
 	if _, err := NewMissReader(bytes.NewReader([]byte{})); err == nil {
 		t.Error("empty stream accepted")
 	}
-	// Events header on a miss reader.
-	var buf bytes.Buffer
-	w, _ := NewEventWriter(&buf)
-	w.Flush()
-	if _, err := NewMissReader(&buf); err == nil {
+	// A valid header of another stream kind (1, the retired event
+	// stream) on a miss reader.
+	other := []byte(magic + string([]byte{formatVersion, 1}))
+	if _, err := NewMissReader(bytes.NewReader(other)); err == nil {
 		t.Error("kind mismatch accepted")
 	}
 }
 
 func TestReaderReportsTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewEventWriter(&buf)
-	w.Write(isa.BlockEvent{PC: 0x1000, Instrs: 8, Kind: isa.CTJump, Taken: true, Target: 0x2000})
-	w.Write(isa.BlockEvent{PC: 0x2000, Instrs: 8, Kind: isa.CTJump, Taken: true, Target: 0x3000})
+	w, _ := NewMissWriter(&buf)
+	w.Write(MissRecord{Block: 0x1000, Seq: 4, Branches: 2})
+	w.Write(MissRecord{Block: 0x2000, Seq: 9, Branches: 3})
 	w.Flush()
 	full := buf.Bytes()
 	// Cut mid-record (drop the last 2 bytes).
-	r, err := NewEventReader(bytes.NewReader(full[:len(full)-2]))
+	r, err := NewMissReader(bytes.NewReader(full[:len(full)-2]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,25 +277,7 @@ func TestReaderReportsTruncation(t *testing.T) {
 		t.Error("truncation not reported")
 	}
 	if n != 1 {
-		t.Errorf("decoded %d events before truncation, want 1", n)
-	}
-}
-
-func TestEventCodecCompact(t *testing.T) {
-	spec, _ := workload.ByName("DSS-Qry2")
-	g := workload.Build(spec, workload.ScaleSmall, 1)
-	events := isa.Collect(g.Sources()[0], 50_000)
-	var buf bytes.Buffer
-	w, _ := NewEventWriter(&buf)
-	for _, ev := range events {
-		w.Write(ev)
-	}
-	w.Flush()
-	perEvent := float64(buf.Len()) / float64(len(events))
-	// A naive fixed encoding is 8+8+8+1+... ~26 bytes; delta coding should
-	// be far smaller.
-	if perEvent > 12 {
-		t.Errorf("%.1f bytes/event, expected compact encoding", perEvent)
+		t.Errorf("decoded %d misses before truncation, want 1", n)
 	}
 }
 

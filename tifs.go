@@ -13,8 +13,7 @@
 //     next-line baseline, FDIP, the TIFS variants, and bounds
 //     (Simulate, mechanism constructors);
 //   - the memoizing engine that batches simulations, optionally over a
-//     persistent local or remote result store (NewSimEngine,
-//     OpenResultStore, DialRemoteStore);
+//     persistent local or remote result store (NewSimEngine, OpenStore);
 //   - every evaluation experiment as a named runner
 //     (Experiments, RunExperiments), and sharded sweeps of their grid
 //     (ExperimentGrid, ShardedSweep, ShardedSweepAuto).
@@ -30,9 +29,9 @@ package tifs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
-	"os"
 
 	"tifs/internal/analysis"
 	"tifs/internal/core"
@@ -232,16 +231,40 @@ func ExperimentGrid(ids []string, o ExperimentOptions) (SweepGrid, error) {
 // sweep.
 type ShardReport = shard.Report
 
-// StoreLocation names the store a sharded sweep's workers share: either
-// a store directory (Dir; for several machines, on a shared filesystem)
-// or a tifsserve base URL (URL), never both. Over a URL, blobs travel
-// through the remote store client, the lease manifest lives on the
-// server and is updated by compare-and-swap, and HTTPClient (nil =
+// StoreLocation names a result store — the one a run reads and fills,
+// or the one a sharded sweep's workers share: either a store directory
+// (Dir; for several machines, on a shared filesystem) or a tifsserve
+// base URL (URL), never both. OpenStore opens it. Over a URL, blobs
+// travel through the remote store client, the lease manifest lives on
+// the server and is updated by compare-and-swap, and HTTPClient (nil =
 // http.DefaultClient) carries the traffic, so a fault-injecting
 // transport (NetFaultTransport) can stand in.
 type StoreLocation struct {
 	Dir, URL   string
 	HTTPClient *http.Client
+}
+
+// OpenStore opens the store at loc as a backend for an engine or a
+// sweep; it is the one place a location becomes a store. An empty
+// location gives a nil backend (no store). A directory opens (creating
+// if needed) the local store there; close it to release its lock. A URL
+// dials the remote client over loc.HTTPClient with no I/O, as
+// DialRemoteStore does; close it to flush queued write-backs. A location
+// naming both is an error, returned before anything opens.
+func OpenStore(ctx context.Context, loc StoreLocation) (StoreBackend, error) {
+	switch {
+	case loc.Dir != "" && loc.URL != "":
+		return nil, fmt.Errorf("tifs: a store location names a directory or a URL, not both: got Dir %q and URL %q", loc.Dir, loc.URL)
+	case loc.URL != "":
+		return remotestore.NewClient(ctx, loc.URL, loc.HTTPClient), nil
+	case loc.Dir != "":
+		st, err := store.Open(loc.Dir)
+		if err != nil {
+			return nil, fmt.Errorf("tifs: %w", err)
+		}
+		return st, nil
+	}
+	return nil, nil
 }
 
 // ShardedSweep runs shard index of count over the grid, as one worker of
@@ -266,93 +289,78 @@ type StoreLocation struct {
 // than waiting out the TTL), everything simulated so far stays in the
 // store, and the partial report returns alongside ctx's error.
 func ShardedSweep(ctx context.Context, loc StoreLocation, index, count int, g SweepGrid, parallelism int) (ShardReport, error) {
-	c, st, closeStore, err := openSweep(ctx, loc, g, count)
-	if err != nil {
+	reports, err := sweep(ctx, loc, false, index, count, g, parallelism)
+	if len(reports) == 0 {
 		return ShardReport{}, err
 	}
-	defer closeStore()
-	return sweepShard(ctx, c, st, g, index, count, parallelism)
+	return reports[0], err
 }
 
 // ShardedSweepAuto is ShardedSweep with lease-based self-assignment: the
 // worker claims unclaimed (or expired) shards one after another until
-// none remain, returning a report per shard it ran. Launch N such
-// workers against one location to run a whole sweep with no manual
-// shard numbering.
+// none remain, returning a report per shard it ran — after a failure,
+// the failed shard's partial report last. Launch N such workers against
+// one location to run a whole sweep with no manual shard numbering.
 func ShardedSweepAuto(ctx context.Context, loc StoreLocation, count int, g SweepGrid, parallelism int) ([]ShardReport, error) {
-	c, st, closeStore, err := openSweep(ctx, loc, g, count)
+	return sweep(ctx, loc, true, 0, count, g, parallelism)
+}
+
+// sweep is the one claim loop under ShardedSweep and ShardedSweepAuto:
+// claim a shard (index, or with auto any claimable one), run it under
+// the lease, hand the lease back after a failure, and mark the shard
+// done after a success. A pinned index claims once; auto claims until no
+// shard is left. The lease manifest lives beside the store: in the
+// directory, or on the server at the URL.
+func sweep(ctx context.Context, loc StoreLocation, auto bool, index, count int, g SweepGrid, parallelism int) ([]ShardReport, error) {
+	if loc.Dir == "" && loc.URL == "" {
+		return nil, errors.New("tifs: a sharded sweep needs a store location (Dir or URL)")
+	}
+	st, err := OpenStore(ctx, loc)
 	if err != nil {
 		return nil, err
 	}
-	defer closeStore()
-	return sweepAuto(ctx, c, st, g, count, parallelism)
-}
-
-// openSweep opens the store and lease coordinator at loc. It rejects a
-// location with both or neither of Dir and URL before opening anything.
-func openSweep(ctx context.Context, loc StoreLocation, g SweepGrid, count int) (*shard.Coordinator, StoreBackend, func(), error) {
-	switch {
-	case (loc.Dir == "") == (loc.URL == ""):
-		return nil, nil, nil, fmt.Errorf("tifs: a store location needs exactly one of Dir and URL, got Dir %q and URL %q", loc.Dir, loc.URL)
-	case loc.URL != "":
-		client := remotestore.NewClient(ctx, loc.URL, loc.HTTPClient)
-		c := shard.NewCoordinatorBackend(remotestore.NewManifestClient(loc.URL, loc.HTTPClient), g, count)
-		return c, client, func() { client.Close() }, nil
+	defer st.Close()
+	var manifest shard.ManifestBackend = &shard.FileManifest{Dir: loc.Dir}
+	if loc.URL != "" {
+		manifest = remotestore.NewManifestClient(loc.URL, loc.HTTPClient)
 	}
-	st, err := store.Open(loc.Dir)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("tifs: %w", err)
-	}
-	return shard.NewCoordinator(loc.Dir, g, count), st, func() { st.Close() }, nil
-}
-
-// sweepShard claims, runs, and settles one shard against any coordinator
-// backend (local flock manifest or remote CAS manifest) and any store
-// backend (local directory or remote client).
-func sweepShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count, parallelism int) (ShardReport, error) {
-	owner := sweepOwner()
-	if err := c.Claim(index, owner); err != nil {
-		return ShardReport{}, fmt.Errorf("tifs: %w", err)
-	}
-	rep, err := runShard(ctx, c, st, g, index, count, owner, parallelism)
-	if err != nil {
-		// Hand the shard back — unless the run died because the lease was
-		// (or is presumed) lost, in which case a successor may already own
-		// it and a release would clobber the takeover; the no-op lets the
-		// old claim expire on its TTL instead. Best-effort either way.
-		c.ReleaseAfter(err, index, owner)
-		return rep, err
-	}
-	if err := c.Complete(index); err != nil {
-		return rep, fmt.Errorf("tifs: %w", err)
-	}
-	return rep, nil
-}
-
-// sweepAuto is the self-assigning claim loop over any coordinator and
-// store backend pair.
-func sweepAuto(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, count, parallelism int) ([]ShardReport, error) {
-	owner := sweepOwner()
+	c := shard.NewCoordinator(manifest, g, count)
+	owner := shard.HostPID()
 	var reports []ShardReport
 	for {
-		if err := ctx.Err(); err != nil {
-			return reports, err
+		i, ok := index, true
+		if auto {
+			if err := ctx.Err(); err != nil {
+				return reports, err
+			}
+			i, ok, err = c.ClaimAny(owner)
+		} else {
+			err = c.Claim(index, owner)
 		}
-		index, ok, err := c.ClaimAny(owner)
 		if err != nil {
 			return reports, fmt.Errorf("tifs: %w", err)
 		}
 		if !ok {
 			return reports, nil
 		}
-		rep, err := runShard(ctx, c, st, g, index, count, owner, parallelism)
-		if err != nil {
-			c.ReleaseAfter(err, index, owner)
-			return reports, err
-		}
+		rep, err := shard.Run(ctx, st, g, i, count, parallelism, func() error {
+			return c.Renew(i, owner)
+		}, c.RenewInterval(), c.TTL)
 		reports = append(reports, rep)
-		if err := c.Complete(index); err != nil {
+		if err != nil {
+			// Hand the shard back — unless the run died because the lease
+			// was (or is presumed) lost, in which case a successor may
+			// already own it and a release would clobber the takeover; the
+			// no-op lets the old claim expire on its TTL instead.
+			// Best-effort either way.
+			c.ReleaseAfter(err, i, owner)
 			return reports, fmt.Errorf("tifs: %w", err)
+		}
+		if err := c.Complete(i); err != nil {
+			return reports, fmt.Errorf("tifs: %w", err)
+		}
+		if !auto {
+			return reports, nil
 		}
 	}
 }
@@ -362,27 +370,6 @@ func sweepAuto(ctx context.Context, c *shard.Coordinator, st StoreBackend, g Swe
 // the merge will assemble entirely from store hits.
 func MissingFromStore(st StoreBackend, g SweepGrid) (jobs []SimJob, traces []TraceJob) {
 	return shard.Missing(st, g)
-}
-
-// runShard executes one shard against an open store backend under a live
-// lease.
-func runShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count int, owner string, parallelism int) (ShardReport, error) {
-	rep, err := shard.Run(ctx, st, g, index, count, parallelism, func() error {
-		return c.Renew(index, owner)
-	}, c.RenewInterval(), c.TTL)
-	if err != nil {
-		return rep, fmt.Errorf("tifs: %w", err)
-	}
-	return rep, nil
-}
-
-// sweepOwner identifies this worker in lease files.
-func sweepOwner() string {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "unknown-host"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
 // StoreBackend is the narrow interface the engine and sweep machinery

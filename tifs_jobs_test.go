@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,42 +144,48 @@ func TestJobServiceEndToEnd(t *testing.T) {
 }
 
 // TestJobSimulationMatchesLocalReport: the simulation-form job returns
-// exactly the bytes tifssim prints locally through RunReport.
+// exactly the bytes tifssim prints locally through RunReport, at an
+// explicit core count and at cores 0, which both sides run — and name in
+// the report header — as the default 4.
 func TestJobSimulationMatchesLocalReport(t *testing.T) {
 	spec, err := tifs.WorkloadByName("OLTP-DB2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tifs.SimConfig{Cores: 4, EventsPerCore: 3_000}
 	mech, err := tifs.MechanismByName("tifs-dedicated")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Mechanism = mech
 	e := tifs.NewSimEngine(2, nil)
 	defer e.Close()
-	want := e.RunReport(context.Background(), tifs.SimJob{Spec: spec, Scale: tifs.ScaleSmall, Config: cfg}, true)
 
 	_, ts := startJobServer(t, t.TempDir())
 	c := tifs.DialJobService(ts.URL, nil)
 	c.Name = "sim-client"
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := tifs.SubmitJob(ctx, c, tifs.JobRequest{
-		Workload: "OLTP-DB2", Mechanism: "tifs-dedicated", Baseline: true,
-		Scale: "small", Events: 3_000, Cores: 4,
-	})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	final, err := tifs.WatchJob(ctx, c, st.ID, nil)
-	if err != nil {
-		t.Fatalf("watch: %v", err)
-	}
-	if final.State != tifs.JobDone {
-		t.Fatalf("job %s: %s", final.State, final.Error)
-	}
-	if final.Output != want {
-		t.Errorf("server report differs from local tifssim bytes:\n--- want\n%s\n--- got\n%s", want, final.Output)
+	for _, cores := range []int{4, 0} {
+		cfg := tifs.SimConfig{Cores: cores, EventsPerCore: 3_000, Mechanism: mech}
+		want := e.RunReport(context.Background(), tifs.SimJob{Spec: spec, Scale: tifs.ScaleSmall, Config: cfg}, true)
+		if !strings.Contains(want, "(small scale, 4 cores)") {
+			t.Errorf("cores %d: local report header does not name the 4 cores run:\n%s", cores, want)
+		}
+		st, err := tifs.SubmitJob(ctx, c, tifs.JobRequest{
+			Workload: "OLTP-DB2", Mechanism: "tifs-dedicated", Baseline: true,
+			Scale: "small", Events: 3_000, Cores: cores,
+		})
+		if err != nil {
+			t.Fatalf("cores %d: submit: %v", cores, err)
+		}
+		final, err := tifs.WatchJob(ctx, c, st.ID, nil)
+		if err != nil {
+			t.Fatalf("cores %d: watch: %v", cores, err)
+		}
+		if final.State != tifs.JobDone {
+			t.Fatalf("cores %d: job %s: %s", cores, final.State, final.Error)
+		}
+		if final.Output != want {
+			t.Errorf("cores %d: server report differs from local tifssim bytes:\n--- want\n%s\n--- got\n%s", cores, want, final.Output)
+		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,5 +201,95 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	}
 	if merged != direct {
 		t.Errorf("post-reconcile merge differs from direct run:\n--- merged\n%s\n--- direct\n%s", merged, direct)
+	}
+}
+
+// countingTransport counts the requests a client sends through it.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestOpenStore covers the one path from a store location to a
+// backend: an empty location is no store; a location naming both a
+// directory and a URL is refused before anything opens; a directory
+// opens the local store; and a URL dials the remote client over
+// loc.HTTPClient, sending nothing until the first store operation.
+func TestOpenStore(t *testing.T) {
+	ctx := context.Background()
+	if st, err := tifs.OpenStore(ctx, tifs.StoreLocation{}); st != nil || err != nil {
+		t.Errorf("empty location: got %v, %v; want no store and no error", st, err)
+	}
+
+	serveDir := t.TempDir()
+	served, err := store.Open(serveDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	var requests atomic.Int64
+	inner := remotestore.NewServer(served, serveDir).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	dir := filepath.Join(t.TempDir(), "store")
+	if st, err := tifs.OpenStore(ctx, tifs.StoreLocation{Dir: dir, URL: srv.URL}); st != nil || err == nil {
+		t.Errorf("both set: got %v, %v; want an error and no store", st, err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a location naming both opened the store directory (stat: %v)", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("a location naming both sent %d requests to the server", n)
+	}
+
+	spec, err := tifs.WorkloadByName("OLTP-DB2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tifs.Simulate(spec, tifs.ScaleSmall, tifs.SimConfig{EventsPerCore: 2_000, Mechanism: tifs.FDIP()})
+	local, err := tifs.OpenStore(ctx, tifs.StoreLocation{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := local.(*tifs.ResultStore); !ok {
+		t.Errorf("a directory opened a %T, want *tifs.ResultStore", local)
+	}
+	local.PutResult("k", want)
+	if err := local.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := tifs.OpenStore(ctx, tifs.StoreLocation{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reopened.GetResult("k"); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("directory store across reopen: got %+v (hit %v), want %+v", got, ok, want)
+	}
+	reopened.Close()
+
+	via := &countingTransport{}
+	remote, err := tifs.OpenStore(ctx, tifs.StoreLocation{URL: srv.URL, HTTPClient: &http.Client{Transport: via}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	if _, ok := remote.(*tifs.RemoteStore); !ok {
+		t.Errorf("a URL dialed a %T, want *tifs.RemoteStore", remote)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("dialing sent %d requests; it performs no I/O", n)
+	}
+	remote.PutResult("k", want)
+	if got, ok := remote.GetResult("k"); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("remote store round trip: got %+v (hit %v), want %+v", got, ok, want)
+	}
+	if via.n.Load() == 0 || via.n.Load() != requests.Load() {
+		t.Errorf("%d of the server's %d requests came through loc.HTTPClient, want all", via.n.Load(), requests.Load())
 	}
 }
